@@ -12,12 +12,10 @@ from simplex_gibbs.cftp import (
     run_epoch,
 )
 from simplex_gibbs.chain import (
-    Composition,
     LambdaLaw,
     SimplexPoint,
     StepDraw,
     contraction_factor,
-    discrete_step,
     evolve,
     exact_split,
     sample_step_draw,
@@ -43,7 +41,6 @@ from simplex_gibbs.partitions import (
 from simplex_gibbs.two_stage import (
     ExperimentConfig,
     FullRunResult,
-    burn_steps,
     coupling_time,
     full_coupling_run,
     stage_steps,
@@ -53,7 +50,6 @@ from simplex_gibbs.two_stage import (
 __all__ = [
     "BudgetExhaustedError",
     "CftpResult",
-    "Composition",
     "EdgeSchedule",
     "EpochRecord",
     "ExperimentConfig",
@@ -67,12 +63,10 @@ __all__ = [
     "SummaryReport",
     "TransitionMatrix",
     "analyze_schedule",
-    "burn_steps",
     "cftp_sample",
     "contraction_factor",
     "couple_lambdas",
     "coupling_time",
-    "discrete_step",
     "evolve",
     "evolve_matrix",
     "exact_split",

@@ -166,20 +166,6 @@ def l1_diameter_bound(tm: TransitionMatrix) -> float:
     return best
 
 
-def l1_summed_bound(tm: TransitionMatrix) -> float:
-    """(1 - 1/n) times the sum of pairwise column L1 distances.
-
-    A looser aggregate companion to :func:`l1_diameter_bound`, reported for
-    comparison only; it is never the operative bound.
-    """
-    m = tm.mat
-    n = tm.n
-    total = 0.0
-    for a in range(n - 1):
-        total += float(np.abs(m[:, a + 1 :] - m[:, a : a + 1]).sum())
-    return (1.0 - 1.0 / n) * total
-
-
 @dataclass(frozen=True)
 class FailureNote:
     """First failed column attempt of a window, kept for diagnostics.
@@ -354,23 +340,6 @@ def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
         connected=analysis.connected, marked=analysis.marked, cutoff=cutoff,
         coalesced=coalesced, failure=failure, final=final,
     )
-
-
-def window_shared_draws(record: EpochRecord) -> list[StepDraw]:
-    """The window's draw sequence under the pure shared map, in time order.
-
-    This is the sequence every chain follows when no coupling is attempted
-    (opening phase everywhere, closing phase after the cutoff or when the
-    schedule is disconnected); useful for matrix-composition cross-checks.
-    """
-    table = _pair_table(record.n)
-    draws: list[StepDraw] = []
-    for _b, row in iter_blocks_backward(
-        record.master, record.replica, record.lo, record.hi
-    ):
-        i, j = pair_from_word(float(row[0]), table)
-        draws.append(StepDraw(i, j, float(row[1])))
-    return draws
 
 
 def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> SimplexPoint:

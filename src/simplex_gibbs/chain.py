@@ -33,10 +33,6 @@ import scipy.stats as _st
 # exactly sum-conserving, so drift can only come from the caller.
 SUM_TOL = 1e-9
 
-# Guard threshold for explicit renormalization requests; unreachable through
-# exact_split stepping but kept for defensive use on foreign data.
-RENORM_TOL = 1e-12
-
 _SYMMETRY_PROBES = (0.1, 0.25, 0.5)
 
 
@@ -204,10 +200,6 @@ class SimplexPoint:
         """Barycenter (1/n, ..., 1/n), nudged to an exact unit fsum."""
         return cls(_normalized_exact(np.full(n, 1.0 / n)))
 
-    @classmethod
-    def from_values(cls, values) -> "SimplexPoint":
-        return cls(np.asarray(values, dtype=np.float64))
-
     def to_list(self) -> list[float]:
         """JSON form: a plain array of n doubles."""
         return [float(t) for t in self.values]
@@ -238,14 +230,8 @@ class LambdaLaw:
     """Symmetric law on [0, 1] for the mixing fraction.
 
     Supported kinds are the uniform law and Beta(a, a).  The cdf satisfies
-    F(x) = 1 - F(1 - x); this is spot-checked on construction.  Attributes
-    used by the experiment reports:
-
-      * lambda_sq: E[lam^2] under the law.
-      * cdf_second_sup: sup |F''| over the open interval (infinite for
-        Beta(a, a) with a < 2, a != 1, whose density derivative blows up).
-      * rate_constant: cdf_second_sup / (1 - 2 * lambda_sq), reported but
-        never asserted against.
+    F(x) = 1 - F(1 - x); this is spot-checked on construction.  The
+    contraction report reads ``lambda_sq``, the second moment E[lam^2].
     """
 
     kind: str = "uniform"
@@ -274,12 +260,6 @@ class LambdaLaw:
             return rng.random() if size is None else rng.random(size)
         return rng.beta(self.a, self.a) if size is None else rng.beta(self.a, self.a, size)
 
-    def from_uniform(self, u):
-        """Deterministic inverse-cdf transform of a uniform variate."""
-        if self.kind == "uniform":
-            return u
-        return _st.beta.ppf(u, self.a, self.a)
-
     def cdf(self, x):
         if self.kind == "uniform":
             return np.clip(x, 0.0, 1.0)
@@ -287,41 +267,14 @@ class LambdaLaw:
 
     @property
     def lambda_sq(self) -> float:
-        """E[lam^2]; 1/3 for uniform, (a + 1) / (2 (2a + 1)) for Beta(a, a)."""
+        """E[lam^2]; 1/3 for uniform, 1/4 + 1/(4(2a + 1)) for Beta(a, a).
+
+        The Beta value is mean^2 + variance.  Reports carry its rounding,
+        which can differ in the last bit from (a + 1) / (2 (2a + 1)).
+        """
         if self.kind == "uniform":
             return 1.0 / 3.0
-        return (self.a + 1.0) / (2.0 * (2.0 * self.a + 1.0))
-
-    @property
-    def cdf_second_sup(self) -> float:
-        if self.kind == "uniform" or self.a == 1.0:
-            return 0.0
-        a = self.a
-        if a < 2.0:
-            # the density derivative is unbounded near the endpoints
-            return math.inf
-        # |F''| = |f'| with f'(x) = (a-1)(1-2x) x^(a-2) (1-x)^(a-2) / B(a, a);
-        # evaluate on a dense grid, endpoints approached closely
-        x = np.linspace(1e-7, 1.0 - 1e-7, 20001)
-        dens_deriv = (
-            (a - 1.0)
-            * (1.0 - 2.0 * x)
-            * x ** (a - 2.0)
-            * (1.0 - x) ** (a - 2.0)
-            / math.exp(_betaln(a))
-        )
-        return float(np.max(np.abs(dens_deriv)))
-
-    @property
-    def rate_constant(self) -> float:
-        denom = 1.0 - 2.0 * self.lambda_sq
-        if denom <= 0.0:
-            return math.inf
-        return self.cdf_second_sup / denom
-
-
-def _betaln(a: float) -> float:
-    return 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
+        return 0.25 + 0.25 / (2.0 * self.a + 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -445,54 +398,3 @@ def contraction_factor(n: int, lambda_sq: float = 1.0 / 3.0) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return 1.0 - 2.0 / n + 4.0 * lambda_sq * (n - 2) / (n * (n - 1.0))
-
-
-@dataclass(frozen=True, eq=False)
-class Composition:
-    """Integer composition: M indistinguishable balls in n labeled boxes."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.array(self.counts, dtype=np.int64)
-        if c.ndim != 1 or c.shape[0] < 2:
-            raise ValueError("a composition needs at least two boxes")
-        if np.any(c < 0):
-            raise ValueError("ball counts must be nonnegative")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def normalized(self) -> np.ndarray:
-        """Counts scaled by the total (a point on the simplex when total > 0)."""
-        t = self.total
-        if t == 0:
-            raise ValueError("cannot normalize an empty composition")
-        return self.counts / t
-
-
-def discrete_step(c: Composition, i: int, j: int, rng: np.random.Generator) -> Composition:
-    """Discrete analogue of one step: rebalance boxes i and j binomially.
-
-    The pooled count m = c_i + c_j is redistributed as
-    c_i' ~ Binomial(m, 1/2), c_j' = m - c_i' (each pooled ball flips a fair
-    coin for its side).  Sampling is exact, never a normal approximation,
-    and the total is conserved exactly by integer arithmetic.
-    """
-    if i == j:
-        raise ValueError("need two distinct boxes")
-    if not (1 <= i <= c.n and 1 <= j <= c.n):
-        raise ValueError(f"pair ({i}, {j}) out of range for n={c.n}")
-    m = int(c.counts[i - 1] + c.counts[j - 1])
-    new_i = int(rng.binomial(m, 0.5)) if m > 0 else 0
-    out = np.array(c.counts)
-    out[i - 1] = new_i
-    out[j - 1] = m - new_i
-    return Composition(out)

@@ -239,55 +239,3 @@ def subset_couple_step(
             xa[i0] = vi
             xa[j0] = vj
     return SimplexPoint(xa), SimplexPoint(ya), cpl
-
-
-def subset_success_lower_bound(n: int, b: float, e: float) -> float:
-    """Analytic floor 1 - 2 n^(b + 1 - e) on the subset success probability.
-
-    Valid whenever the chains satisfy the closeness and floor conditions
-    checked by ``coupling_condition_monitor``.  The value is returned
-    unclamped; it is vacuous (negative) when the exponent budget e is too
-    small against b, and callers are expected to treat it as a plain number.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return 1.0 - 2.0 * float(n) ** (b + 1.0 - e)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Observed closeness and floor margins for a chain pair."""
-
-    ok: bool
-    distance_ok: bool
-    floor_ok: bool
-    sup_diff: float
-    min_coord: float
-    distance_bound: float
-    floor_bound: float
-
-
-def coupling_condition_monitor(x: SimplexPoint, y: SimplexPoint, b: float, e: float) -> ConditionReport:
-    """Check sup |x - y| <= 2 n^-e and min over both chains' coords >= n^-b.
-
-    These are the hypotheses under which ``subset_success_lower_bound``
-    applies; the monitor only observes, it never alters the run.
-    """
-    if x.n != y.n:
-        raise ValueError("dimension mismatch")
-    n = x.n
-    sup_diff = float(np.max(np.abs(x.values - y.values)))
-    min_coord = float(min(np.min(x.values), np.min(y.values)))
-    distance_bound = 2.0 * float(n) ** (-e)
-    floor_bound = float(n) ** (-b)
-    distance_ok = sup_diff <= distance_bound
-    floor_ok = min_coord >= floor_bound
-    return ConditionReport(
-        ok=distance_ok and floor_ok,
-        distance_ok=distance_ok,
-        floor_ok=floor_ok,
-        sup_diff=sup_diff,
-        min_coord=min_coord,
-        distance_bound=distance_bound,
-        floor_bound=floor_bound,
-    )

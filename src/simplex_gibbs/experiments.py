@@ -228,14 +228,6 @@ def _law_params(law: LambdaLaw | None) -> str:
     return f"beta:{law.a:g}"
 
 
-def _lambda_sq(law: LambdaLaw | None) -> float:
-    """E[lam^2] of the mixing law; enters the contraction factor."""
-    if law is None or law.kind == "uniform":
-        return 1.0 / 3.0
-    # symmetric Beta(a, a): mean 1/2, variance 1/(4(2a+1))
-    return 0.25 + 0.25 / (2.0 * law.a + 1.0)
-
-
 def _coord_cdf(n: int):
     """Stationary cdf of one coordinate under the uniform law on the simplex."""
     return _st.beta(1, n - 1).cdf
@@ -326,7 +318,7 @@ def run_contraction(
     run.total_steps = replicas
     observed = float(ratios.mean())
     se = float(ratios.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    predicted = contraction_factor(n, _lambda_sq(law))
+    predicted = contraction_factor(n, (law if law is not None else LambdaLaw.uniform()).lambda_sq)
     run.stat(
         "one_step_ratio",
         observed,
@@ -370,7 +362,6 @@ def run_couple(
             "n": n,
             "C": C,
             "b": cfg.b,
-            "c": cfg.c,
             "d": cfg.burn_exponent,
             "e": cfg.closeness_exponent,
             "replicas": cfg.replicas,

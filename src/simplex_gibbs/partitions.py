@@ -155,20 +155,6 @@ def analyze_schedule(schedule: EdgeSchedule) -> PartitionAnalysis:
     return PartitionAnalysis(schedule=schedule, marked=tuple(sorted(marked)), splits=splits)
 
 
-def partition_at(schedule: EdgeSchedule, t: int) -> tuple[tuple[int, ...], ...]:
-    """P(t): components of the graph of edges scheduled after time t.
-
-    Returned as sorted tuples, ordered by smallest member.
-    """
-    if not 0 <= t <= schedule.T:
-        raise ValueError(f"t must lie in [0, {schedule.T}], got {t}")
-    uf = _UnionFind(schedule.n)
-    for s in range(t + 1, schedule.T + 1):
-        uf.union(*schedule.pairs[s - 1])
-    parts = {uf.find(k) for k in range(1, schedule.n + 1)}
-    return tuple(sorted((tuple(sorted(uf.members[r])) for r in parts), key=lambda p: p[0]))
-
-
 @dataclass(frozen=True)
 class ProductBoundReport:
     """Per-coordinate split products against the 2n certification threshold.

@@ -2,14 +2,15 @@
 
 The coupling that certifies mixing runs in two phases.  First both chains
 advance under the proportional coupling (shared pair and fraction draws)
-for ceil(6 C n ln n) steps, which contracts their squared distance to
-O(n^-4C) in expectation.  Second, a fresh edge schedule of length
-ceil(C n ln n) is drawn up front, its split structure is computed, and the
-chains run forward through it: at every marked time the weight-matching
-subset coupling is attempted on the two pieces of the split, at every
-other time the step is proportional.  The pass is non-Markovian only
-through the schedule: each chain still makes uniform pair and fraction
-draws marginally, so both remain faithful copies of the dynamics.
+for burn_in_steps(n, 4C) = ceil(6 C n ln n) steps, which contracts their
+squared distance to O(n^-4C) in expectation.  Second, a fresh edge schedule
+of length ceil(C n ln n) is drawn up front, its split structure is computed,
+and the chains run forward through it: at every marked time the
+weight-matching subset coupling is attempted on the two pieces of the
+split, at every other time the step is proportional.  The pass is
+non-Markovian only through the schedule: each chain still makes uniform
+pair and fraction draws marginally, so both remain faithful copies of the
+dynamics.
 
 If the schedule is connected and every marked attempt succeeds, the final
 states are bitwise identical: each coordinate's last update happens at a
@@ -40,20 +41,12 @@ from simplex_gibbs.couplings import (
 )
 from simplex_gibbs.partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 
-# stage length = ceil(C n ln n) steps; burn-in uses BURN_MULT times that
-BURN_MULT = 6
-
 
 def stage_steps(n: int, C: float) -> int:
     """ceil(C n ln n), the schedule length of the collision stage."""
     if n < 2 or C <= 0:
         raise ValueError("need n >= 2 and C > 0")
     return int(math.ceil(C * n * math.log(n)))
-
-
-def burn_steps(n: int, C: float) -> int:
-    """ceil(6 C n ln n), the proportional burn-in preceding the stage."""
-    return int(math.ceil(BURN_MULT * C * n * math.log(n)))
 
 
 def burn_in_steps(n: int, d: float) -> int:
@@ -63,28 +56,21 @@ def burn_in_steps(n: int, d: float) -> int:
     return int(math.ceil(1.5 * d * n * math.log(n)))
 
 
-def expected_sq_distance_bound(n: int, d: float) -> float:
-    """The 2 n^-d target that ``burn_in_steps`` is calibrated against."""
-    return 2.0 * float(n) ** (-d)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of a coupled-run experiment.
 
-    C scales both stage lengths: burn-in ceil(6 C n ln n), collision stage
-    ceil(C n ln n).  The exponents b, c, d, e parameterize targets and
-    report-only monitors: burn-in aims at expected squared distance
+    C scales the collision stage, ceil(C n ln n) steps.  The exponents b, d
+    and e parameterize the burn-in target and report-only monitors: burn-in
+    runs burn_in_steps(n, d) steps to reach expected squared distance
     2 n^-d, the closeness monitor asks for sup difference at most 2 n^-e,
-    the floor monitor for coordinates at least n^-b, and c is a spare tail
-    exponent echoed into reports.  Leaving d or e as None resolves them to
-    the C-scaled defaults 4C and 2C.
+    and the floor monitor for coordinates at least n^-b.  Leaving d or e as
+    None resolves them to the C-scaled defaults 4C and 2C.
     """
 
     n: int
     C: float = 1.0
     b: float = 2.0
-    c: float = 1.0
     d: float | None = None
     e: float | None = None
     replicas: int = 100
@@ -97,7 +83,7 @@ class ExperimentConfig:
             raise ValueError(f"need C > 0, got {self.C!r}")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        for name in ("b", "c", "d", "e"):
+        for name in ("b", "d", "e"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"exponent {name} must be positive, got {v!r}")
@@ -279,7 +265,7 @@ def full_coupling_run(
     if y0 is None:
         y0 = sample_uniform_simplex(n, rng)
     if burn is None:
-        burn = burn_steps(n, C)
+        burn = burn_in_steps(n, 4.0 * C)
     elif burn < 0:
         raise ValueError("burn must be nonnegative")
     T = stage_steps(n, C)
@@ -299,7 +285,7 @@ def coupling_time(n: int, C: float, rng: np.random.Generator, max_attempts: int 
     RuntimeError if max_attempts runs fail in a row (vanishingly unlikely
     for sensible C; the cap keeps bad parameters from looping forever).
     """
-    block = burn_steps(n, C) + stage_steps(n, C)
+    block = burn_in_steps(n, 4.0 * C) + stage_steps(n, C)
     for attempt in range(1, max_attempts + 1):
         run = full_coupling_run(n, C, rng)
         if run.coalesced:

@@ -13,11 +13,9 @@ from hypothesis import strategies as hst
 from simplex_gibbs.chain import SimplexPoint, StepDraw, sample_uniform_simplex, weight
 from simplex_gibbs.couplings import (
     couple_lambdas,
-    coupling_condition_monitor,
     proportional_step_pair,
     remainder_inverse,
     subset_couple_step,
-    subset_success_lower_bound,
     success_probability,
 )
 
@@ -301,31 +299,3 @@ def test_proportional_step_pair_shares_draw():
     # lam >= 1/2 takes the direct branch of the split, so == is exact
     assert x2.values[1] == 0.75 * sx
     assert y2.values[1] == 0.75 * sy
-
-
-# ---------------------------------------------------------- bounds, monitor
-
-
-def test_subset_success_lower_bound_frozen():
-    # 1 - 2 n^(b + 1 - e)
-    assert subset_success_lower_bound(16, 1.0, 3.0) == pytest.approx(0.875)
-    assert subset_success_lower_bound(10, 0.0, 2.0) == pytest.approx(0.8)
-    # vacuous regimes pass through unclamped
-    assert subset_success_lower_bound(16, 4.5, 1.0) == pytest.approx(-524287.0)
-    with pytest.raises(ValueError):
-        subset_success_lower_bound(1, 0.0, 2.0)
-
-
-def test_coupling_condition_monitor():
-    n = 4
-    x = SimplexPoint(np.array([0.25, 0.25, 0.25, 0.25]))
-    y = SimplexPoint(np.array([0.25 + 1e-3, 0.25 - 1e-3, 0.25, 0.25]))
-    r = coupling_condition_monitor(x, y, b=2.0, e=2.0)
-    assert r.sup_diff == pytest.approx(1e-3)
-    assert r.min_coord == pytest.approx(0.249)
-    assert r.distance_bound == pytest.approx(2.0 * 4.0**-2.0)
-    assert r.floor_bound == pytest.approx(4.0**-2.0)
-    assert r.distance_ok and r.floor_ok and r.ok
-    # tighten e until the distance check trips
-    r2 = coupling_condition_monitor(x, y, b=2.0, e=6.0)
-    assert not r2.distance_ok and not r2.ok

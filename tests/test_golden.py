@@ -114,7 +114,7 @@ def test_full_coupling_run_bitwise(golden, args):
     assert run_entry(*args) == expected
 
 
-@pytest.mark.parametrize("argv", DRIVER_ARGV, ids=lambda a: "-".join(a[:3]) + "-" + a[-1])
+@pytest.mark.parametrize("argv", DRIVER_ARGV, ids=lambda a: "_".join(w.lstrip("-") for w in a))
 def test_driver_report_bitwise(golden, argv):
     expected = golden["drivers"][DRIVER_ARGV.index(argv)]
     assert _canonical(driver_entry(argv)) == _canonical(expected)

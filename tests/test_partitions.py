@@ -14,7 +14,6 @@ from hypothesis import strategies as hst
 from simplex_gibbs.partitions import (
     EdgeSchedule,
     analyze_schedule,
-    partition_at,
     product_bound_check,
 )
 
@@ -44,6 +43,12 @@ def _components(n, edges):
         seen |= comp
         parts.append(tuple(sorted(comp)))
     return tuple(sorted(parts, key=lambda p: p[0]))
+
+
+def _partition_at(schedule, t):
+    """P(t): components of the graph of edges scheduled after time t."""
+    assert 0 <= t <= schedule.T
+    return _components(schedule.n, schedule.pairs[t:])
 
 
 def _reference_analysis(n, pairs):
@@ -85,8 +90,6 @@ def test_analysis_matches_reference_exhaustively(n, maxT):
                 assert tuple(sorted(rec.piece_i + rec.piece_j)) == rec.part
             # connectivity agrees with the t = 0 component count
             assert ana.connected == (len(_components(n, list(combo))) == 1), combo
-            for t in range(0, T + 1):
-                assert partition_at(sched, t) == _components(n, list(combo)[t:]), (combo, t)
 
 
 # ------------------------------------------------------------- frozen
@@ -97,9 +100,9 @@ def test_frozen_three_coordinate_example():
     ana = analyze_schedule(sched)
     assert ana.marked == (1, 2)
     assert ana.connected
-    assert partition_at(sched, 0) == ((1, 2, 3),)
-    assert partition_at(sched, 1) == ((1,), (2, 3))
-    assert partition_at(sched, 2) == ((1,), (2,), (3,))
+    assert _partition_at(sched, 0) == ((1, 2, 3),)
+    assert _partition_at(sched, 1) == ((1,), (2, 3))
+    assert _partition_at(sched, 2) == ((1,), (2,), (3,))
     assert ana.splits[2].part == (2, 3)
     assert ana.splits[2].piece_small == (2,)
     assert ana.splits[1].part == (1, 2, 3)
@@ -143,7 +146,7 @@ def test_empty_and_trivial_schedules():
     ana = analyze_schedule(sched)
     assert ana.marked == ()
     assert not ana.connected
-    assert partition_at(sched, 0) == ((1,), (2,), (3,), (4,), (5,))
+    assert _partition_at(sched, 0) == ((1,), (2,), (3,), (4,), (5,))
     two = EdgeSchedule(2, ((1, 2),))
     ana2 = analyze_schedule(two)
     assert ana2.marked == (1,) and ana2.connected
@@ -174,7 +177,7 @@ def test_analysis_invariants(n, seed, mult):
         assert set(rec.piece_small) | set(rec.piece_large) == set(rec.part)
     # successive partitions refine as t grows
     for t in range(1, sched.T + 1):
-        finer, coarser = partition_at(sched, t), partition_at(sched, t - 1)
+        finer, coarser = _partition_at(sched, t), _partition_at(sched, t - 1)
         cover = {v: p for p in coarser for v in p}
         for p in finer:
             assert set(p) <= set(cover[p[0]])
@@ -216,6 +219,4 @@ def test_schedule_validation():
         EdgeSchedule(3, ((1, 4),))
     with pytest.raises(ValueError):
         EdgeSchedule(1, ())
-    with pytest.raises(ValueError):
-        partition_at(EdgeSchedule(3, ((1, 2),)), 2)
     assert EdgeSchedule(3, ((1, 2),)).to_lists() == [[1, 2]]

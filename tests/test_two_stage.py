@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,9 +9,7 @@ from simplex_gibbs.chain import SimplexPoint, sample_uniform_simplex, sq_distanc
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.two_stage import (
     burn_in_steps,
-    burn_steps,
     coupling_time,
-    expected_sq_distance_bound,
     full_coupling_run,
     proportional_run,
     stage_steps,
@@ -26,12 +22,9 @@ from simplex_gibbs.two_stage import (
 
 def test_step_count_helpers_frozen():
     assert stage_steps(16, 1.0) == 45
-    assert burn_steps(16, 1.0) == 267
+    assert burn_in_steps(16, 4.0) == 267
     assert stage_steps(2, 1.0) == 2
-    assert burn_steps(64, 1.0) == 1598
-    # the d-parameterized form agrees with the run's 6C at d = 4C
-    assert burn_in_steps(16, 4.0) == burn_steps(16, 1.0)
-    assert expected_sq_distance_bound(16, 4.0) == pytest.approx(2.0 / 65536.0)
+    assert burn_in_steps(64, 4.0) == 1598
     with pytest.raises(ValueError):
         stage_steps(1, 1.0)
     with pytest.raises(ValueError):
@@ -50,7 +43,7 @@ def test_burn_in_hits_distance_target():
         y = sample_uniform_simplex(n, rng)
         x2, y2 = proportional_run(x, y, steps, rng)
         acc += sq_distance(x2, y2)
-    assert acc / reps < expected_sq_distance_bound(n, d)
+    assert acc / reps < 2.0 * n ** -d
 
 
 def test_proportional_run_contracts():
@@ -141,7 +134,7 @@ def test_full_run_collision_rate_has_margin():
 def test_full_run_audit_fields_sane():
     rng = np.random.default_rng(408)
     r = full_coupling_run(8, 1.0, rng)
-    assert r.burn == burn_steps(8, 1.0) and r.T == stage_steps(8, 1.0)
+    assert r.burn == burn_in_steps(8, 4.0) and r.T == stage_steps(8, 1.0)
     assert 0.0 <= r.sup_diff_after_burn < 1.0
     for a in r.stage.audits:
         assert 1 <= a.time <= r.T
@@ -161,7 +154,7 @@ def test_full_run_deterministic_given_seed():
 
 def test_coupling_time_is_block_multiple():
     rng = np.random.default_rng(410)
-    block = burn_steps(8, 1.0) + stage_steps(8, 1.0)
+    block = burn_in_steps(8, 4.0) + stage_steps(8, 1.0)
     times = [coupling_time(8, 1.0, rng) for _ in range(40)]
     assert all(t % block == 0 for t in times)
     # collision rate near 0.9 puts the median at a single block
