@@ -7,7 +7,6 @@ from simplex_gibbs.cftp import (
     TransitionMatrix,
     cftp_sample,
     evolve_matrix,
-    l1_diameter_bound,
     propagate_through_epoch,
     run_epoch,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "evolve_matrix",
     "exact_split",
     "full_coupling_run",
-    "l1_diameter_bound",
     "propagate_through_epoch",
     "proportional_step_pair",
     "run_epoch",

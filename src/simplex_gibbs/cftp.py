@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SimplexPoint, StepDraw, _apply_step, _pair_table
-from .couplings import PairCoupling, subset_couple_step
+from .couplings import subset_couple_step
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 from .streams import aux_uniform, iter_blocks_backward, pair_from_word, read_blocks
 
@@ -57,10 +57,6 @@ def phase2_steps(n: int) -> int:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return int(math.ceil(PHASE2_MULT * n * math.log(n)))
-
-
-def first_window_steps(n: int) -> int:
-    return phase1_steps(n) + phase2_steps(n)
 
 
 def window_geometry(n: int, k: int) -> tuple[int, int, int, int]:
@@ -93,7 +89,8 @@ class TransitionMatrix:
     bitwise) the chain run directly from that point with the same draws.
     Rows i and j are updated entrywise through the same exact-split
     arithmetic as a single chain, so each column IS the single-chain
-    trajectory of its vertex, bit for bit.
+    trajectory of its vertex, bit for bit.  A replay carries its one
+    replayed chain as a single-column matrix.
     """
 
     mat: np.ndarray
@@ -125,17 +122,6 @@ class TransitionMatrix:
         v = x.values if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
         return self.mat @ v
 
-    def column(self, v: int) -> np.ndarray:
-        """State of the vertex-v chain (1-based), as a copy."""
-        return np.array(self.mat[:, v - 1])
-
-    def spread(self) -> float:
-        """Largest coordinate range across columns; 0 iff all columns equal."""
-        return float(np.max(self.mat.max(axis=1) - self.mat.min(axis=1)))
-
-    def column_sums(self) -> np.ndarray:
-        return np.array([math.fsum(self.mat[:, v]) for v in range(self.n)])
-
 
 def evolve_matrix(tm: TransitionMatrix, draw: StepDraw) -> TransitionMatrix:
     """One shared step applied to a copy of the matrix.
@@ -148,22 +134,6 @@ def evolve_matrix(tm: TransitionMatrix, draw: StepDraw) -> TransitionMatrix:
     out = TransitionMatrix(np.array(tm.mat))
     out.shared_step(draw.i, draw.j, draw.lam)
     return out
-
-
-def l1_diameter_bound(tm: TransitionMatrix) -> float:
-    """Max L1 distance between two columns; bounds the map's image diameter.
-
-    Any two starting points map into the convex hull of the columns, so
-    their images' L1 distance is at most the largest pairwise column
-    distance.  The identity matrix gives 2; a fully collided map gives 0.
-    """
-    m = tm.mat
-    n = tm.n
-    best = 0.0
-    for a in range(n - 1):
-        diffs = np.abs(m[:, a + 1 :] - m[:, a : a + 1]).sum(axis=0)
-        best = max(best, float(diffs.max()))
-    return best
 
 
 @dataclass(frozen=True)
@@ -253,19 +223,56 @@ class BudgetExhaustedError(RuntimeError):
         self.doublings = doublings
 
 
-def _closing_schedule(
-    n: int, master: int, replica: int, lo: int, p2: int
-) -> tuple[np.ndarray, EdgeSchedule, PartitionAnalysis]:
-    """Read the closing-phase blocks and derive their edge schedule.
+def _closing_walk(
+    tm: TransitionMatrix,
+    center: np.ndarray,
+    master: int,
+    replica: int,
+    lo: int,
+    p2: int,
+    cutoff: int | None,
+) -> tuple[PartitionAnalysis, np.ndarray, FailureNote | None]:
+    """Walk a window's closing phase: the columns of tm against the driver.
 
-    Closing-phase time s (1-based) owns block lo + p2 - s, so the returned
-    row for time s is rows[p2 - s].
+    Closing-phase time s (1-based) owns block lo + p2 - s.  Every time is a
+    shared step, except marked times before the cutoff, where each column
+    attempts the fraction coupling against the driver.  cutoff=None is the
+    tracked run: it attempts at every marked time and returns at the first
+    failed attempt, with that attempt's note, because nothing after it is
+    read.  A recorded cutoff is the replay: each column commits its own
+    outcome, a remainder draw on failure, and the walk runs to the end.
+
+    Returns the schedule's analysis, the driver state and the failure note.
     """
-    table = _pair_table(n)
-    rows = read_blocks(master, replica, lo, lo + p2)
-    pairs = tuple(pair_from_word(float(rows[p2 - s, 0]), table) for s in range(1, p2 + 1))
-    schedule = EdgeSchedule(n, pairs)
-    return rows, schedule, analyze_schedule(schedule)
+    table = _pair_table(tm.n)
+    rows = read_blocks(master, replica, lo, lo + p2)[::-1]
+    pairs = [pair_from_word(float(row[0]), table) for row in rows]
+    analysis = analyze_schedule(EdgeSchedule(tm.n, tuple(pairs)))
+    last = p2 if cutoff is None else cutoff - 1
+    for s, ((i, j), row) in enumerate(zip(pairs, rows), start=1):
+        u = float(row[1])
+        rec = analysis.splits.get(s) if analysis.connected and s <= last else None
+        if rec is None:
+            tm.shared_step(i, j, u)
+            _apply_step(center, i - 1, j - 1, u)
+            continue
+        aux = lambda b=lo + p2 - s: aux_uniform(master, replica, b)
+        cpoint = SimplexPoint(center)
+        for v in range(tm.mat.shape[1]):
+            x2, y2, cpl = subset_couple_step(
+                SimplexPoint(tm.mat[:, v]), cpoint,
+                i, j, rec.piece_i, rec.piece_j, u, float(row[2]), aux,
+            )
+            if cutoff is None and not cpl.success:
+                fin = math.isfinite(cpl.m) and math.isfinite(cpl.delta)
+                return analysis, center, FailureNote(
+                    time=s, column=v + 1, m=cpl.m, delta=cpl.delta,
+                    lo=max(0.0, min(1.0, cpl.delta)) if fin else 0.0,
+                    hi=max(0.0, min(1.0, cpl.m + cpl.delta)) if fin else 0.0,
+                )
+            tm.mat[:, v] = x2.values
+        center = np.array(y2.values)
+    return analysis, center, None
 
 
 def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
@@ -281,51 +288,8 @@ def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
         tm.shared_step(i, j, lam)
         _apply_step(center, i - 1, j - 1, lam)
 
-    rows, _schedule, analysis = _closing_schedule(n, master, replica, lo, p2)
-    cutoff: int | None = None
-    failure: FailureNote | None = None
-
-    for s in range(1, p2 + 1):
-        row = rows[p2 - s]
-        block = lo + p2 - s
-        i, j = pair_from_word(float(row[0]), table)
-        u = float(row[1])
-        rec = analysis.splits.get(s) if analysis.connected and cutoff is None else None
-        if rec is not None:
-            coin = float(row[2])
-            aux = lambda b=block: aux_uniform(master, replica, b)
-            cpoint = SimplexPoint(center)
-            staged: list[np.ndarray] = []
-            center_next: np.ndarray | None = None
-            bad: PairCoupling | None = None
-            bad_col = 0
-            for v in range(1, n + 1):
-                x2, y2, cpl = subset_couple_step(
-                    SimplexPoint(tm.mat[:, v - 1]), cpoint,
-                    i, j, rec.piece_i, rec.piece_j, u, coin, aux,
-                )
-                if not cpl.success:
-                    bad, bad_col = cpl, v
-                    break
-                staged.append(x2.values)
-                center_next = y2.values
-            if bad is None:
-                for v, col in enumerate(staged):
-                    tm.mat[:, v] = col
-                center = np.array(center_next)
-                continue
-            cutoff = s
-            fin = math.isfinite(bad.m) and math.isfinite(bad.delta)
-            failure = FailureNote(
-                time=s, column=bad_col, m=bad.m, delta=bad.delta,
-                lo=max(0.0, min(1.0, bad.delta)) if fin else 0.0,
-                hi=max(0.0, min(1.0, bad.m + bad.delta)) if fin else 0.0,
-            )
-        # every non-attempt step is the shared proportional map
-        tm.shared_step(i, j, u)
-        _apply_step(center, i - 1, j - 1, u)
-
-    coalesced = analysis.connected and cutoff is None
+    analysis, center, failure = _closing_walk(tm, center, master, replica, lo, p2, None)
+    coalesced = analysis.connected and failure is None
     final: SimplexPoint | None = None
     if coalesced:
         for v in range(n):
@@ -337,7 +301,8 @@ def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
         final = SimplexPoint(center)
     return EpochRecord(
         n=n, master=master, replica=replica, k=k, lo=lo, hi=hi, p1=p1, p2=p2,
-        connected=analysis.connected, marked=analysis.marked, cutoff=cutoff,
+        connected=analysis.connected, marked=analysis.marked,
+        cutoff=None if failure is None else failure.time,
         coalesced=coalesced, failure=failure, final=final,
     )
 
@@ -368,33 +333,14 @@ def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> Simplex
         _apply_step(zarr, i - 1, j - 1, lam)
         _apply_step(center, i - 1, j - 1, lam)
 
-    rows, _schedule, analysis = _closing_schedule(n, master, replica, record.lo, record.p2)
+    follower = TransitionMatrix(zarr[:, None])
+    cutoff = record.p2 + 1 if record.cutoff is None else record.cutoff
+    analysis, _, _ = _closing_walk(
+        follower, center, master, replica, record.lo, record.p2, cutoff
+    )
     if analysis.connected != record.connected or analysis.marked != record.marked:
         raise RuntimeError("replayed schedule disagrees with the recorded window")
-
-    for s in range(1, record.p2 + 1):
-        row = rows[record.p2 - s]
-        block = record.lo + record.p2 - s
-        i, j = pair_from_word(float(row[0]), table)
-        u = float(row[1])
-        attempt = (
-            record.connected
-            and (record.cutoff is None or s < record.cutoff)
-            and s in analysis.splits
-        )
-        if attempt:
-            rec = analysis.splits[s]
-            x2, y2, _cpl = subset_couple_step(
-                SimplexPoint(zarr), SimplexPoint(center),
-                i, j, rec.piece_i, rec.piece_j,
-                u, float(row[2]), lambda b=block: aux_uniform(master, replica, b),
-            )
-            zarr = np.array(x2.values)
-            center = np.array(y2.values)
-        else:
-            _apply_step(zarr, i - 1, j - 1, u)
-            _apply_step(center, i - 1, j - 1, u)
-    return SimplexPoint(zarr)
+    return SimplexPoint(follower.mat[:, 0])
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ from simplex_gibbs.cftp import (
     TransitionMatrix,
     cftp_sample,
     evolve_matrix,
-    first_window_steps,
-    l1_diameter_bound,
     phase1_steps,
     phase2_steps,
     propagate_through_epoch,
@@ -34,6 +32,30 @@ from simplex_gibbs.streams import (
 from simplex_gibbs.chain import _pair_table
 
 from conftest import ALPHA, coordinate_cdf
+
+
+def _spread(tm):
+    """Largest coordinate range across columns; 0 iff all columns equal."""
+    return float(np.max(tm.mat.max(axis=1) - tm.mat.min(axis=1)))
+
+
+def _column_sums(tm):
+    return np.array([math.fsum(tm.mat[:, v]) for v in range(tm.n)])
+
+
+def _l1_diameter_bound(tm):
+    """Max L1 distance between two columns; bounds the map's image diameter.
+
+    Any two starting points map into the convex hull of the columns, so
+    their images' L1 distance is at most the largest pairwise column
+    distance.  The identity matrix gives 2; a fully collided map gives 0.
+    """
+    m = tm.mat
+    best = 0.0
+    for a in range(tm.n - 1):
+        diffs = np.abs(m[:, a + 1 :] - m[:, a : a + 1]).sum(axis=0)
+        best = max(best, float(diffs.max()))
+    return best
 
 
 # ---------------------------------------------------------------- streams
@@ -81,7 +103,7 @@ def test_streams_reject_bad_ranges():
 
 def test_window_geometry_frozen_values():
     assert (phase1_steps(5), phase2_steps(5)) == (97, 17)
-    assert first_window_steps(5) == 114
+    assert phase1_steps(5) + phase2_steps(5) == 114
     assert window_geometry(5, 1) == (0, 114, 97, 17)
     assert window_geometry(5, 2) == (114, 228, 97, 17)
     assert window_geometry(5, 3) == (228, 456, 194, 34)
@@ -113,8 +135,8 @@ def test_matrix_columns_are_vertex_chains_bitwise(rng):
         chain = SimplexPoint.vertex(5, v)
         for d in draws:
             chain = step(chain, d)
-        assert np.array_equal(tm.column(v), chain.values)
-    assert np.all(np.abs(tm.column_sums() - 1.0) < 1e-12)
+        assert np.array_equal(tm.mat[:, v - 1], chain.values)
+    assert np.all(np.abs(_column_sums(tm) - 1.0) < 1e-12)
 
 
 def test_matrix_apply_tracks_direct_chains(rng):
@@ -129,13 +151,13 @@ def test_matrix_apply_tracks_direct_chains(rng):
             direct = step(direct, d)
         assert float(np.max(np.abs(tm.apply(x0) - direct.values))) < 1e-12
     # shared steps are contractions: vertex images end almost collided
-    assert tm.spread() < 1e-6
+    assert _spread(tm) < 1e-6
 
 
 def test_matrix_identity_and_validation():
     tm = TransitionMatrix.identity(3)
     assert np.array_equal(tm.mat, np.eye(3))
-    assert tm.n == 3 and tm.spread() == 1.0
+    assert tm.n == 3 and _spread(tm) == 1.0
     with pytest.raises(ValueError):
         TransitionMatrix.identity(1)
 
@@ -149,8 +171,8 @@ def test_evolve_matrix_matches_in_place_step():
     ref.shared_step(2, 4, 0.3)
     assert np.array_equal(out.mat, ref.mat)
     # columns i and j of the result are the one-step images of e_i, e_j
-    assert np.array_equal(out.column(2), step(SimplexPoint.vertex(4, 2), d).values)
-    assert np.array_equal(out.column(4), step(SimplexPoint.vertex(4, 4), d).values)
+    assert np.array_equal(out.mat[:, 1], step(SimplexPoint.vertex(4, 2), d).values)
+    assert np.array_equal(out.mat[:, 3], step(SimplexPoint.vertex(4, 4), d).values)
     with pytest.raises(ValueError):
         evolve_matrix(tm, StepDraw(1, 5, 0.5))
 
@@ -164,14 +186,14 @@ def test_half_splits_converge_to_flat_matrix():
 
 
 def test_l1_diameter_bound_endpoints_and_domination(rng):
-    assert l1_diameter_bound(TransitionMatrix.identity(4)) == 2.0
+    assert _l1_diameter_bound(TransitionMatrix.identity(4)) == 2.0
     collided = TransitionMatrix(np.tile(rng.dirichlet(np.ones(4))[:, None], (1, 4)))
-    assert l1_diameter_bound(collided) == 0.0
+    assert _l1_diameter_bound(collided) == 0.0
     tm = TransitionMatrix.identity(4)
     for _ in range(5):
         d = sample_step_draw(4, rng)
         tm.shared_step(d.i, d.j, d.lam)
-    bound = l1_diameter_bound(tm)
+    bound = _l1_diameter_bound(tm)
     for _ in range(1000):
         v, w = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
         assert float(np.abs(tm.apply(v) - tm.apply(w)).sum()) <= bound + 1e-12
@@ -184,7 +206,7 @@ def test_column_stochasticity_over_a_million_steps(rng):
     ii, jj = _pair_table(5)
     for t in range(1_000_000):
         tm.shared_step(int(ii[idx[t]]) + 1, int(jj[idx[t]]) + 1, float(lams[t]))
-    assert float(np.max(np.abs(tm.column_sums() - 1.0))) < 1e-9
+    assert float(np.max(np.abs(_column_sums(tm) - 1.0))) < 1e-9
 
 
 def test_opening_phase_diameter_collapse(rng):
@@ -198,7 +220,7 @@ def test_opening_phase_diameter_collapse(rng):
         lams = rng.random(steps)
         for t in range(steps):
             tm.shared_step(int(ii[idx[t]]) + 1, int(jj[idx[t]]) + 1, float(lams[t]))
-        assert l1_diameter_bound(tm) <= 8.0 ** -3
+        assert _l1_diameter_bound(tm) <= 8.0 ** -3
 
 
 # ----------------------------------------------------------------- epochs

@@ -153,19 +153,6 @@ def test_lambda_law_moments_match_monte_carlo():
         assert abs(float(np.mean(x**2)) - law.lambda_sq) < 5.0 * se
 
 
-def _law_ppf(law, u):
-    """Reference inverse cdf, from scipy rather than the law itself."""
-    return u if law.kind == "uniform" else st.beta.ppf(u, law.a, law.a)
-
-
-def test_lambda_law_cdf_symmetry_and_inverse():
-    for law in (LambdaLaw.uniform(), LambdaLaw.beta(0.7), LambdaLaw.beta(2.0)):
-        for x in (0.05, 0.3, 0.5, 0.9):
-            assert law.cdf(x) == pytest.approx(1.0 - law.cdf(1.0 - x), abs=1e-12)
-        for u in (0.01, 0.4, 0.6, 0.99):
-            assert law.cdf(_law_ppf(law, u)) == pytest.approx(u, abs=1e-9)
-
-
 def test_lambda_law_rejects_bad_shapes():
     with pytest.raises(ValueError):
         LambdaLaw("beta", -1.0)
