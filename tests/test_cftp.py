@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from simplex_gibbs.chain import LambdaLaw, SimplexPoint, StepDraw, sample_step_draw, step
+from simplex_gibbs.chain import (
+    LambdaLaw,
+    SimplexPoint,
+    StepDraw,
+    sample_step_draw,
+    sample_uniform_simplex,
+    step,
+)
 from simplex_gibbs.cftp import (
     BudgetExhaustedError,
     CftpResult,
@@ -296,6 +303,36 @@ def test_certified_window_map_is_constant():
             assert propagate_through_epoch(z0, rec).equals_bitwise(rec.final)
             checked += 1
     assert checked >= 15
+
+
+def test_certified_windows_map_every_input_to_final():
+    # floating point does not promise that every replayed attempt succeeds:
+    # the fixed uniform point of the golden file has one refused nudge in
+    # window (8, 1, 7, 2).  Check the constant map on hard inputs instead:
+    # every vertex, the barycenter and a few uniform points
+    windows = [
+        (n, master, replica, k)
+        for n in (4, 8, 16)
+        for master in (0, 1)
+        for replica in range(4)
+        for k in (1, 2)
+    ]
+    windows.append((8, 1, 7, 2))
+    rng = np.random.default_rng(11)
+    inputs = {}
+    for n in (4, 8, 16):
+        inputs[n] = [SimplexPoint.vertex(n, v) for v in range(1, n + 1)]
+        inputs[n] += [SimplexPoint.center(n), sample_uniform_simplex(n, np.random.default_rng(0))]
+        inputs[n] += [sample_uniform_simplex(n, rng) for _ in range(2)]
+    checked = 0
+    for n, master, replica, k in windows:
+        rec = run_epoch(n, master, replica, k)
+        if not rec.coalesced:
+            continue
+        for z0 in inputs[n]:
+            assert propagate_through_epoch(z0, rec).equals_bitwise(rec.final)
+            checked += 1
+    assert checked >= 400
 
 
 def test_propagation_is_deterministic_and_valid():

@@ -3,7 +3,8 @@
 ``golden/outputs.json`` pins, bit for bit, what the package computes on a
 small grid of arguments: ``cftp_sample`` points and doubling counts, the
 tracked window records of ``run_epoch`` with replays through each of them,
-the final states of ``full_coupling_run``, and the JSON report of every CLI
+the final states, post-burn-in sup difference and squared-distance trace
+of ``full_coupling_run``, and the JSON report of every CLI
 driver minus its wall-clock field.  A refactor that keeps behaviour must
 pass this file unchanged; a declared stream change regenerates it with
 
@@ -40,7 +41,7 @@ EPOCH_GRID = [
     for replica in range(8)
     for k in (1, 2)
 ]
-RUN_GRID = [(n, seed) for n in (2, 5, 8) for seed in (0, 1, 2)]
+RUN_GRID = [(n, seed) for n in (2, 5, 8, 16) for seed in (0, 1, 2)]
 DRIVER_ARGV = [
     ["simulate", "--n", "5", "--T", "40", "--replicas", "20", "--seed", "3"],
     ["simulate", "--n", "4", "--T", "30", "--replicas", "10", "--seed", "3", "--law", "beta:2.5"],
@@ -100,13 +101,16 @@ def epoch_entry(n: int, master: int, replica: int, k: int) -> dict:
 
 
 def run_entry(n: int, seed: int) -> dict:
-    res = full_coupling_run(n, 1.0, np.random.default_rng(seed))
+    z: list[float] = []
+    res = full_coupling_run(n, 1.0, np.random.default_rng(seed), z_out=z)
     return {
         "n": n,
         "seed": seed,
         "burn": res.burn,
         "x": _hex(res.stage.x.values),
         "y": _hex(res.stage.y.values),
+        "sup_diff_after_burn": float(res.sup_diff_after_burn).hex(),
+        "z": _hex(z),
     }
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from simplex_gibbs.chain import SimplexPoint, sample_uniform_simplex, sq_distance
+from simplex_gibbs.chain import SimplexPoint, sample_step_draw, sample_uniform_simplex, sq_distance
+from simplex_gibbs.couplings import proportional_step_pair
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.two_stage import (
     burn_in_steps,
@@ -54,6 +55,31 @@ def test_proportional_run_contracts():
     z0 = sq_distance(x, y)
     x2, y2 = proportional_run(x, y, 60, rng)
     assert sq_distance(x2, y2) < 0.5 * z0
+
+
+def _proportional_run_reference(x, y, steps, rng, z_out):
+    """The burn-in as one validated SimplexPoint pair per step."""
+    for _ in range(steps):
+        x, y = proportional_step_pair(x, y, sample_step_draw(x.n, rng))
+        z_out.append(sq_distance(x, y))
+    return x, y
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+def test_proportional_run_matches_reference_bitwise(n):
+    # same final points, same trace, and the generator left at the same
+    # position: the collision stage's schedule draws follow from it
+    for seed in range(10):
+        x0 = SimplexPoint.vertex(n, 1 + seed % n)
+        y0 = sample_uniform_simplex(n, np.random.default_rng([n, seed]))
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        z_a: list[float] = []
+        z_b: list[float] = []
+        xa, ya = proportional_run(x0, y0, 300, rng_a, z_out=z_a)
+        xb, yb = _proportional_run_reference(x0, y0, 300, rng_b, z_b)
+        assert xa.equals_bitwise(xb) and ya.equals_bitwise(yb)
+        assert [z.hex() for z in z_a] == [z.hex() for z in z_b]
+        assert rng_a.random() == rng_b.random()
 
 
 # ------------------------------------------------------------- stage pass
