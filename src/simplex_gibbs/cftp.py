@@ -315,9 +315,16 @@ def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> Simplex
     window's cutoff, where it attempts the coupling against the re-derived
     driver with its own slope and intercept and, on failure, draws its
     fraction from the block's remainder uniform.  For a certified window
-    the map is constant: every attempt succeeds for any simplex input (the
-    success region is an intersection of half-spaces containing all the
-    vertex columns), so the output is the recorded collided point.
+    the map is constant in exact arithmetic: each attempt's success region
+    is an intersection of half-spaces containing all the vertex columns,
+    hence the whole simplex.  In floating point an attempt can still fail
+    for some input, because its exact-weight nudge is refused at
+    ENFORCE_TOL: the uniform point that the golden file replays through
+    window (n=8, master=1, replica=7, k=2) fails once.  Such a replay
+    commits its remainder draw and continues, so the output equals the
+    recorded collided point only as far as tests check it: bit for bit,
+    for every vertex, the barycenter and uniform points on a grid of
+    certified windows.
     """
     n = record.n
     master, replica = record.master, record.replica

@@ -169,9 +169,9 @@ class SimplexPoint:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] < 2:
             raise ValueError("a simplex point needs at least two coordinates")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("simplex coordinates must be finite")
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise ValueError("simplex coordinates must be nonnegative")
         total = math.fsum(v.tolist())
         if abs(total - 1.0) > SUM_TOL:
@@ -300,8 +300,12 @@ def sample_step_draw(n: int, rng: np.random.Generator, law: LambdaLaw | None = N
     return StepDraw(int(ii[idx]) + 1, int(jj[idx]) + 1, float(law.sample(rng)))
 
 
-def _apply_step(arr: np.ndarray, i0: int, j0: int, lam: float) -> None:
-    """In-place pair update on a raw array, 0-based indices."""
+def _apply_step(arr: np.ndarray | list[float], i0: int, j0: int, lam: float) -> None:
+    """In-place pair update on a raw array or float list, 0-based indices.
+
+    Python floats and np.float64 share IEEE double arithmetic, so a list
+    and an array holding the same values are updated to the same bits.
+    """
     s = arr[i0] + arr[j0]
     a, b = exact_split(lam, s)
     arr[i0] = a
@@ -377,7 +381,16 @@ def sq_distance(x: SimplexPoint, y: SimplexPoint) -> float:
     """Squared euclidean distance between two points of equal dimension."""
     if x.n != y.n:
         raise ValueError("dimension mismatch")
-    d = x.values - y.values
+    return _sq_distance_raw(x.values, y.values)
+
+
+def _sq_distance_raw(a: np.ndarray | list[float], b: np.ndarray | list[float]) -> float:
+    """Squared euclidean distance of two raw vectors, taken on float64 arrays.
+
+    Every squared distance in the package goes through here, so a raw loop
+    and a SimplexPoint loop report the same bits.
+    """
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.dot(d, d))
 
 

@@ -29,7 +29,9 @@ from .cftp import MAX_DOUBLINGS_DEFAULT, cftp_sample
 from .chain import (
     LambdaLaw,
     SimplexPoint,
+    _apply_step,
     _pair_table,
+    _sq_distance_raw,
     contraction_factor,
     pair_count,
     sample_step_draw,
@@ -265,13 +267,15 @@ def run_simulate(
     rows = []
     for r in range(replicas):
         rng = _replica_rng(seed, r)
-        x = SimplexPoint.vertex(n, 1)
+        xs = SimplexPoint.vertex(n, 1).values.tolist()
         if traces_path is not None:
-            rows.append((r, 0, sq_distance(x, center)))
+            rows.append((r, 0, _sq_distance_raw(xs, center.values)))
         for t in range(1, T + 1):
-            x = step(x, sample_step_draw(n, rng, law))
+            d = sample_step_draw(n, rng, law)
+            _apply_step(xs, d.i - 1, d.j - 1, d.lam)
             if traces_path is not None:
-                rows.append((r, t, sq_distance(x, center)))
+                rows.append((r, t, _sq_distance_raw(xs, center.values)))
+        x = SimplexPoint(xs)
         finals[r] = x.values[0]
         final_sq[r] = sq_distance(x, center)
         drift = max(drift, abs(math.fsum(x.to_list()) - 1.0))

@@ -18,6 +18,13 @@ marked time where its side of the split is the singleton containing it,
 and the exact weight enforcement pins it to the partner chain's double.
 The first failed attempt demotes the remainder of the pass to proportional
 stepping; collision can then no longer be certified for that replica.
+
+The burn-in is the hot loop, so ``proportional_run`` steps raw float lists:
+its inputs are validated ``SimplexPoint``s, each step takes its draw from
+``sample_step_draw`` and applies it with ``chain._apply_step``, and one
+validated ``SimplexPoint`` per chain is built at exit.  The per-step
+arithmetic is the same IEEE double arithmetic as ``step``, so the result
+is bit for bit that of stepping validated points.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import numpy as np
 from simplex_gibbs.chain import (
     SimplexPoint,
     StepDraw,
+    _apply_step,
+    _sq_distance_raw,
     sample_step_draw,
     sample_uniform_simplex,
     sq_distance,
@@ -106,17 +115,24 @@ def proportional_run(
 ) -> tuple[SimplexPoint, SimplexPoint]:
     """Advance both chains through shared draws for the given step count.
 
+    The points are validated on entry and rebuilt as validated points on
+    exit; in between both chains are raw float lists, stepped with the
+    draws of ``sample_step_draw`` in the order the generator yields them.
     When z_out is a list, the squared distance after each step is appended
     to it (one value per step).
     """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
+    n = x.n
+    xs, ys = x.values.tolist(), y.values.tolist()
     for _ in range(steps):
-        d = sample_step_draw(x.n, rng)
-        x, y = proportional_step_pair(x, y, d)
+        d = sample_step_draw(n, rng)
+        i0, j0 = d.i - 1, d.j - 1
+        _apply_step(xs, i0, j0, d.lam)
+        _apply_step(ys, i0, j0, d.lam)
         if z_out is not None:
-            z_out.append(sq_distance(x, y))
-    return x, y
+            z_out.append(_sq_distance_raw(xs, ys))
+    return SimplexPoint(xs), SimplexPoint(ys)
 
 
 @dataclass(frozen=True)

@@ -289,9 +289,10 @@ def test_driver_replay_reproduces_certified_point():
 
 
 def test_certified_window_map_is_constant():
-    # arbitrary inputs land on the collided point: the success region of
-    # each closing-phase attempt contains the whole simplex once all vertex
-    # columns succeed, and every success pins the input to the driver
+    # arbitrary inputs land on the collided point: in exact arithmetic the
+    # success region of each closing-phase attempt contains the whole
+    # simplex once all vertex columns succeed, and every success pins the
+    # input to the driver
     rng = np.random.default_rng(3)
     checked = 0
     for r in range(12):
