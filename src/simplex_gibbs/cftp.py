@@ -317,14 +317,13 @@ def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> Simplex
     fraction from the block's remainder uniform.  For a certified window
     the map is constant in exact arithmetic: each attempt's success region
     is an intersection of half-spaces containing all the vertex columns,
-    hence the whole simplex.  In floating point an attempt can still fail
-    for some input, because its exact-weight nudge is refused at
-    ENFORCE_TOL: the uniform point that the golden file replays through
-    window (n=8, master=1, replica=7, k=2) fails once.  Such a replay
-    commits its remainder draw and continues, so the output equals the
-    recorded collided point only as far as tests check it: bit for bit,
-    for every vertex, the barycenter and uniform points on a grid of
-    certified windows.
+    hence the whole simplex.  In floating point an input's attempt can
+    still fail when its exact-weight nudge is refused at ENFORCE_TOL (the
+    uniform point that the golden file replays through window n=8,
+    master=1, replica=7, k=2 fails once); the replay then commits its
+    remainder draw and attempts again at later marked times.  That such a
+    replay still ends on the recorded collided point is checked by the
+    tests on a grid of windows and inputs, not proven.
     """
     n = record.n
     master, replica = record.master, record.replica

@@ -387,8 +387,8 @@ def sq_distance(x: SimplexPoint, y: SimplexPoint) -> float:
 def _sq_distance_raw(a: np.ndarray | list[float], b: np.ndarray | list[float]) -> float:
     """Squared euclidean distance of two raw vectors, taken on float64 arrays.
 
-    Every squared distance in the package goes through here, so a raw loop
-    and a SimplexPoint loop report the same bits.
+    ``sq_distance`` and the raw-list loops both go through here, so a raw
+    loop reports the same bits as a loop over SimplexPoints.
     """
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.dot(d, d))

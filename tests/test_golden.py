@@ -4,8 +4,8 @@
 small grid of arguments: ``cftp_sample`` points and doubling counts, the
 tracked window records of ``run_epoch`` with replays through each of them,
 the final states, post-burn-in sup difference and squared-distance trace
-of ``full_coupling_run``, and the JSON report of every CLI
-driver minus its wall-clock field.  A refactor that keeps behaviour must
+of ``full_coupling_run``, and the JSON report of every CLI driver minus
+its wall-clock field.  A refactor that keeps behaviour must
 pass this file unchanged; a declared stream change regenerates it with
 
     PYTHONPATH=src python tests/test_golden.py
