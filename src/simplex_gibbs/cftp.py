@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import SimplexPoint, StepDraw, _apply_step, _pair_table
+from .chain import SimplexPoint, StepDraw, _apply_step
 from .couplings import subset_couple_step
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 from .streams import aux_uniform, iter_blocks_backward, pair_from_word, read_blocks
@@ -244,9 +244,8 @@ def _closing_walk(
 
     Returns the schedule's analysis, the driver state and the failure note.
     """
-    table = _pair_table(tm.n)
     rows = read_blocks(master, replica, lo, lo + p2)[::-1]
-    pairs = [pair_from_word(float(row[0]), table) for row in rows]
+    pairs = [pair_from_word(float(row[0]), tm.n) for row in rows]
     analysis = analyze_schedule(EdgeSchedule(tm.n, tuple(pairs)))
     last = p2 if cutoff is None else cutoff - 1
     for s, ((i, j), row) in enumerate(zip(pairs, rows), start=1):
@@ -278,12 +277,11 @@ def _closing_walk(
 def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
     """Run window k's tracked chains and report whether it certified."""
     lo, hi, p1, p2 = window_geometry(n, k)
-    table = _pair_table(n)
     tm = TransitionMatrix.identity(n)
     center = np.array(SimplexPoint.center(n).values)
 
     for _b, row in iter_blocks_backward(master, replica, lo + p2, hi):
-        i, j = pair_from_word(float(row[0]), table)
+        i, j = pair_from_word(float(row[0]), n)
         lam = float(row[1])
         tm.shared_step(i, j, lam)
         _apply_step(center, i - 1, j - 1, lam)
@@ -329,12 +327,11 @@ def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> Simplex
     master, replica = record.master, record.replica
     if value.n != n:
         raise ValueError(f"point has n={value.n}, window has n={n}")
-    table = _pair_table(n)
     zarr = np.array(value.values)
     center = np.array(SimplexPoint.center(n).values)
 
     for _b, row in iter_blocks_backward(master, replica, record.lo + record.p2, record.hi):
-        i, j = pair_from_word(float(row[0]), table)
+        i, j = pair_from_word(float(row[0]), n)
         lam = float(row[1])
         _apply_step(zarr, i - 1, j - 1, lam)
         _apply_step(center, i - 1, j - 1, lam)
@@ -371,21 +368,17 @@ def cftp_sample(
     master: int,
     replica: int,
     max_doublings: int = MAX_DOUBLINGS_DEFAULT,
-    law=None,
 ) -> CftpResult:
     """Draw one exact uniform sample, or raise if the budget runs out.
 
     Deterministic in (n, master, replica): the same arguments always return
     the same bitwise point.  Each coordinate of the output has cdf
-    1 - (1 - t)^(n - 1) on [0, 1].  Only the uniform mixing law is
-    supported: the closing-phase fraction coupling is built on uniform
-    marginals, so a non-uniform law is rejected rather than silently
-    producing a wrong stationary draw.
+    1 - (1 - t)^(n - 1) on [0, 1].  The mixing law is always uniform: the
+    closing-phase fraction coupling is built on uniform marginals, so the
+    sampler takes no law.
     """
     if max_doublings < 1:
         raise ValueError("max_doublings must be >= 1")
-    if law is not None and getattr(law, "kind", "uniform") != "uniform":
-        raise ValueError("perfect sampling requires the uniform mixing law")
     records: list[EpochRecord] = []
     for k in range(1, max_doublings + 1):
         rec = run_epoch(n, master, replica, k)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -270,15 +269,21 @@ class LambdaLaw:
 _UNIFORM = LambdaLaw()
 
 
-@lru_cache(maxsize=64)
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (i, j) arrays enumerating the n(n-1)/2 unordered pairs."""
-    ii, jj = np.triu_indices(n, k=1)
-    return ii.astype(np.int64), jj.astype(np.int64)
-
-
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _pair_at(n: int, k: int) -> tuple[int, int]:
+    """Pair number k of n as 1-based (i, j), row-major over i < j.
+
+    The order is that of np.triu_indices(n, 1).  Counted from the end,
+    back = c - 1 - k falls in row r from the bottom, which holds r + 1 pairs,
+    where r is the largest integer with r(r + 1)/2 <= back.  math.isqrt keeps
+    this exact for every n, so no O(n^2) table is needed.
+    """
+    back = n * (n - 1) // 2 - 1 - k
+    r = (math.isqrt(8 * back + 1) - 1) // 2
+    return n - 1 - r, n - back + r * (r + 1) // 2
 
 
 def sample_step_draw(n: int, rng: np.random.Generator, law: LambdaLaw | None = None) -> StepDraw:
@@ -295,9 +300,8 @@ def sample_step_draw(n: int, rng: np.random.Generator, law: LambdaLaw | None = N
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     law = law if law is not None else _UNIFORM
-    ii, jj = _pair_table(n)
-    idx = int(rng.integers(0, pair_count(n)))
-    return StepDraw(int(ii[idx]) + 1, int(jj[idx]) + 1, float(law.sample(rng)))
+    i, j = _pair_at(n, int(rng.integers(0, pair_count(n))))
+    return StepDraw(i, j, float(law.sample(rng)))
 
 
 def _apply_step(arr: np.ndarray | list[float], i0: int, j0: int, lam: float) -> None:
@@ -336,12 +340,11 @@ def evolve(
         raise ValueError("steps must be nonnegative")
     law = law if law is not None else _UNIFORM
     n = x.n
-    ii, jj = _pair_table(n)
     c = pair_count(n)
     arr = np.array(x.values)
     for _ in range(steps):
-        idx = int(rng.integers(0, c))
-        _apply_step(arr, int(ii[idx]), int(jj[idx]), float(law.sample(rng)))
+        i, j = _pair_at(n, int(rng.integers(0, c)))
+        _apply_step(arr, i - 1, j - 1, float(law.sample(rng)))
     return SimplexPoint(arr)
 
 

@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cftp", help="perfect samples via backward windows")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--law", type=_law, default=LambdaLaw.uniform())
     p.add_argument("--max-doublings", type=int, default=MAX_DOUBLINGS_DEFAULT, help=argparse.SUPPRESS)
     p.add_argument("--traces", default=None, help="write replica,window,coalesced CSV here")
     _add_common(p)
@@ -154,7 +153,6 @@ def _dispatch(args: argparse.Namespace) -> _ex.SummaryReport:
             args.n,
             args.samples,
             args.seed,
-            law=args.law,
             max_doublings=args.max_doublings,
             traces_path=args.traces,
         )

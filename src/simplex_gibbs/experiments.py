@@ -30,7 +30,7 @@ from .chain import (
     LambdaLaw,
     SimplexPoint,
     _apply_step,
-    _pair_table,
+    _pair_at,
     _sq_distance_raw,
     contraction_factor,
     pair_count,
@@ -595,7 +595,6 @@ def run_cftp(
     n: int,
     samples: int,
     seed: int,
-    law: LambdaLaw | None = None,
     max_doublings: int = MAX_DOUBLINGS_DEFAULT,
     traces_path=None,
 ) -> SummaryReport:
@@ -615,7 +614,7 @@ def run_cftp(
             "n": n,
             "samples": samples,
             "seed": seed,
-            "law": _law_params(law),
+            "law": "uniform",
             "max_doublings": max_doublings,
         },
         seed,
@@ -625,7 +624,7 @@ def run_cftp(
     rows = []
     total = 0
     for r in range(samples):
-        res = cftp_sample(n, seed, r, max_doublings=max_doublings, law=law)
+        res = cftp_sample(n, seed, r, max_doublings=max_doublings)
         points[r] = res.point.values
         doublings[r] = res.doublings
         total += res.total_steps
@@ -681,7 +680,6 @@ def run_discrete(
         {"n": n, "M": M, "steps": steps, "replicas": replicas, "seed": seed},
         seed,
     )
-    ii, jj = _pair_table(n)
     npairs = pair_count(n)
     q, rem = divmod(M, n)
     y0 = np.full(n, q, dtype=np.int64)
@@ -700,8 +698,8 @@ def run_discrete(
         if traces_path is not None:
             rows.append((r, 0, z0))
         for t in range(1, steps + 1):
-            k = int(rng.integers(0, npairs))
-            a, b = int(ii[k]), int(jj[k])
+            i, j = _pair_at(n, int(rng.integers(0, npairs)))
+            a, b = i - 1, j - 1
             u = min(max(float(rng.random()), eps), 1.0 - eps)
             for c in (x, y):
                 s = int(c[a] + c[b])

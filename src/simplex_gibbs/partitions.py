@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from simplex_gibbs.chain import _pair_table, pair_count
+from simplex_gibbs.chain import _pair_at, pair_count
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ class EdgeSchedule:
         """Draw T independent uniform unordered pairs."""
         if T < 0:
             raise ValueError("T must be nonnegative")
-        ii, jj = _pair_table(n)
         idx = rng.integers(0, pair_count(n), size=T)
-        return cls(n, tuple((int(ii[k]) + 1, int(jj[k]) + 1) for k in idx))
+        return cls(n, tuple(_pair_at(n, k) for k in idx.tolist()))
 
     def to_lists(self) -> list[list[int]]:
         """JSON form: [[i, j], ...] in time order."""

@@ -11,7 +11,9 @@ increment yields 4 of the generator's 64-bit words and Generator.random()
 consumes exactly one word per double, so positioning at a block is
 advance(2 * block) and the block's doubles are then read in order.  Word 0
 drives the coordinate-pair choice, word 1 the shared or driver fraction,
-word 2 the thinning coin; the remaining five words are reserved.
+word 2 the thinning coin; the remaining five words are reserved.  Word u
+picks pair number min(c - 1, floor(u * c)) of the c = n(n-1)/2 pairs in
+row-major order (1, 2), (1, 3), ..., (n-1, n); see ``pair_from_word``.
 
 A second keyed stream supplies the one remainder uniform a failed coupling
 attempt may need at a given block.  It is derived from the block index, not
@@ -21,6 +23,8 @@ drawn inline, so consuming it (or not) never shifts any other draw.
 from __future__ import annotations
 
 import numpy as np
+
+from .chain import _pair_at
 
 WORDS_PER_STEP = 8
 _ADVANCE_PER_BLOCK = WORDS_PER_STEP // 4  # Philox yields 4 words per counter tick
@@ -80,9 +84,11 @@ def aux_uniform(master: int, replica: int, block: int) -> float:
     return float(_keyed_philox([master, replica, AUX_TAG, block]).random())
 
 
-def pair_from_word(u: float, table) -> tuple[int, int]:
-    """Map one uniform double to a 1-based coordinate pair via a pair table."""
-    ii, jj = table
-    c = len(ii)
-    idx = min(c - 1, int(u * c))
-    return int(ii[idx]) + 1, int(jj[idx]) + 1
+def pair_from_word(u: float, n: int) -> tuple[int, int]:
+    """Map one uniform double u in [0, 1) to a 1-based coordinate pair.
+
+    With c = n(n-1)/2 the word picks pair number min(c - 1, floor(u * c)) in
+    row-major order (1, 2), (1, 3), ..., (1, n), (2, 3), ..., (n-1, n).
+    """
+    c = n * (n - 1) // 2
+    return _pair_at(n, min(c - 1, int(u * c)))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from simplex_gibbs.chain import (
-    LambdaLaw,
     SimplexPoint,
     StepDraw,
     sample_step_draw,
@@ -36,7 +35,6 @@ from simplex_gibbs.streams import (
     pair_from_word,
     read_blocks,
 )
-from simplex_gibbs.chain import _pair_table
 
 from conftest import ALPHA, coordinate_cdf
 
@@ -93,10 +91,15 @@ def test_aux_uniform_is_addressed_by_block():
 
 
 def test_pair_from_word_covers_all_pairs():
-    table = _pair_table(4)
-    got = {pair_from_word(u, table) for u in np.linspace(0.0, 0.9999, 600)}
+    got = {pair_from_word(u, 4) for u in np.linspace(0.0, 0.9999, 600)}
     assert got == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
-    assert pair_from_word(0.999999999, table) == (3, 4)
+    assert pair_from_word(0.999999999, 4) == (3, 4)
+
+
+@pytest.mark.parametrize("n", [2, 5, 1024, 10**5])
+def test_pair_from_word_endpoints(n):
+    assert pair_from_word(0.0, n) == (1, 2)
+    assert pair_from_word(math.nextafter(1.0, 0.0), n) == (n - 1, n)
 
 
 def test_streams_reject_bad_ranges():
@@ -210,7 +213,7 @@ def test_column_stochasticity_over_a_million_steps(rng):
     tm = TransitionMatrix.identity(5)
     idx = rng.integers(0, 10, size=1_000_000)
     lams = rng.random(1_000_000)
-    ii, jj = _pair_table(5)
+    ii, jj = np.triu_indices(5, 1)
     for t in range(1_000_000):
         tm.shared_step(int(ii[idx[t]]) + 1, int(jj[idx[t]]) + 1, float(lams[t]))
     assert float(np.max(np.abs(_column_sums(tm) - 1.0))) < 1e-9
@@ -220,7 +223,7 @@ def test_opening_phase_diameter_collapse(rng):
     # 1.5 * 20 * n * ln n shared steps at n=8: diameter never above 8^-3
     steps = math.ceil(1.5 * 20 * 8 * math.log(8))
     assert steps == 500
-    ii, jj = _pair_table(8)
+    ii, jj = np.triu_indices(8, 1)
     for _ in range(1000):
         tm = TransitionMatrix.identity(8)
         idx = rng.integers(0, len(ii), size=steps)
@@ -358,9 +361,11 @@ def test_attemptless_map_equals_matrix_composition():
     # is then the plain matrix composition of the window's draw sequence
     noatt = dataclasses.replace(rec, cutoff=1)
     tm = TransitionMatrix.identity(5)
-    table = _pair_table(5)
+    ii, jj = np.triu_indices(5, 1)
+    c = len(ii)
     for _b, row in iter_blocks_backward(rec.master, rec.replica, rec.lo, rec.hi):
-        tm.shared_step(*pair_from_word(float(row[0]), table), float(row[1]))
+        k = min(c - 1, int(float(row[0]) * c))
+        tm.shared_step(int(ii[k]) + 1, int(jj[k]) + 1, float(row[1]))
     rng = np.random.default_rng(1)
     for _ in range(5):
         z0 = SimplexPoint(rng.dirichlet(np.ones(5)))
@@ -425,13 +430,6 @@ def test_budget_exhaustion_raises():
 def test_sampler_rejects_bad_budget():
     with pytest.raises(ValueError):
         cftp_sample(5, 1, 1, max_doublings=0)
-
-
-def test_sampler_requires_uniform_law():
-    with pytest.raises(ValueError):
-        cftp_sample(5, 1, 1, law=LambdaLaw.beta(3.0))
-    res = cftp_sample(5, 99, 42, law=LambdaLaw.uniform())
-    assert res.point.equals_bitwise(cftp_sample(5, 99, 42).point)
 
 
 def test_output_marginals_match_coordinate_law():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,8 @@ from simplex_gibbs.chain import (
     step,
     weight,
 )
+from simplex_gibbs.partitions import EdgeSchedule
+from simplex_gibbs.streams import pair_from_word
 
 from conftest import ALPHA, coordinate_cdf, uniform_simplex_oracle
 
@@ -187,6 +190,53 @@ def test_sample_step_draw_uniform_over_pairs():
     assert st.chi2.sf(chi2, len(counts) - 1) > ALPHA
 
 
+def _row_walk(n, k):
+    """Pair number k as 1-based (i, j), found by skipping whole rows."""
+    i = 1
+    while k >= n - i:
+        k -= n - i
+        i += 1
+    return i, i + 1 + k
+
+
+def test_pair_at_matches_triu_indices():
+    for n in [*range(2, 201), 1024]:
+        ii, jj = np.triu_indices(n, 1)
+        got = np.array([chain._pair_at(n, k) for k in range(len(ii))])
+        np.testing.assert_array_equal(got[:, 0], ii + 1)
+        np.testing.assert_array_equal(got[:, 1], jj + 1)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_pair_at_boundaries_match_row_walk(n):
+    c = n * (n - 1) // 2
+    for k in (0, n - 2, n - 1, c // 2, c - 1):
+        assert chain._pair_at(n, k) == _row_walk(n, k)
+    assert chain._pair_at(n, n - 2) == (1, n)
+    assert chain._pair_at(n, c - 1) == (n - 1, n)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: EdgeSchedule.sample(3000, 100, rng),
+        lambda rng: sample_step_draw(3000, rng),
+        lambda rng: pair_from_word(0.5, 3000),
+    ],
+    ids=["schedule", "step_draw", "pair_from_word"],
+)
+def test_pair_choice_memory_is_not_quadratic(draw):
+    # a table of all n(n-1)/2 pairs at n=3000 would take about 72 MB
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        draw(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_uniform_sampler_exact_unit_sum():
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -266,7 +316,7 @@ def test_contraction_factor_matches_one_step_monte_carlo():
     n, m = 5, 60000
     d = np.array([0.4, -0.1, -0.25, 0.05, -0.1])
     z0 = float(np.dot(d, d))
-    ii, jj = chain._pair_table(n)
+    ii, jj = np.triu_indices(n, 1)
     idx = rng.integers(0, len(ii), size=m)
     lam = rng.random(m)
     vals = np.empty(m)

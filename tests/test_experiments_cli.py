@@ -336,6 +336,11 @@ class TestCli:
         assert main(["simulate", "--n", "4", "--T", "5", "--law", "beta:zero"]) == 1
         assert main(["simulate", "--n", "4", "--T", "5", "--law", "beta:-1"]) == 1
 
+    def test_cftp_takes_no_law(self):
+        # the perfect sampler is built on the uniform law and has no --law flag
+        assert main(["cftp", "--n", "3", "--samples", "1", "--law", "beta:3"]) == 1
+        assert main(["cftp", "--n", "3", "--samples", "1", "--law", "uniform"]) == 1
+
     def test_bad_value_exits_one(self, capsys):
         assert main(["contraction", "--n", "1", "--replicas", "10"]) == 1
         assert "error" in capsys.readouterr().err
