@@ -13,13 +13,17 @@ driver, all columns sharing the driver fraction and one thinning coin.
 A window certifies when its closing-phase edges connect all coordinates and
 every column's every attempt succeeds; the exact piece enforcement then
 forces all n + 1 chains into bitwise collision, which is checked, not
-assumed.  The collided point is pushed forward through the already-examined
-(nearer) windows by replaying their per-step maps: replayed chains attempt
-the same marked-time couplings with their own slope and intercept, and
-resolve their own failures from per-block remainder draws, so the map each
-window applies is a fixed function of the stream no matter when it is
-replayed.  If the budget of window doublings is exhausted without a
-certificate the sampler raises instead of returning a biased point.
+assumed.  The tracked run attempts all n columns of a marked time at once
+with the column-batched kernel ``couplings._subset_couple_columns`` and
+notes why the first failing column failed.  The collided point is pushed
+forward through the already-examined (nearer) windows by replaying their
+per-step maps: replayed chains attempt the same marked-time couplings with
+their own slope and intercept, through the scalar
+``couplings.subset_couple_step``, and resolve their own failures from
+per-block remainder draws, so the map each window applies is a fixed
+function of the stream no matter when it is replayed.  If the budget of
+window doublings is exhausted without a certificate the sampler raises
+instead of returning a biased point.
 
 Randomness is counter-addressed (see :mod:`.streams`): the step at absolute
 time t owns block -t - 1, so a step's draws never depend on which window or
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SimplexPoint, StepDraw, _apply_step
-from .couplings import subset_couple_step
+from .couplings import OK, REASONS, _subset_couple_columns, subset_couple_step
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 from .streams import aux_uniform, iter_blocks_backward, pair_from_word, read_blocks
 
@@ -143,6 +147,11 @@ class FailureNote:
     lo and hi are the clipped image interval of the attempted relation: the
     remainder law of the failed coupling is uniform outside [lo, hi] plus a
     thinned slice inside, so the two endpoints describe it completely.
+    reason says why the attempt failed: "out_of_range" (the candidate
+    fraction left [0, 1]), "thinned" (the coin exceeded min(1, m)),
+    "degenerate" (a pair sum gave no usable relation) or "nudge_refused"
+    (the relation held but no exact piece-weight match was found within
+    ENFORCE_TOL).  It is a diagnostic and is not part of the JSON record.
     """
 
     time: int
@@ -151,6 +160,7 @@ class FailureNote:
     delta: float
     lo: float
     hi: float
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -239,7 +249,10 @@ def _closing_walk(
     attempts the fraction coupling against the driver.  cutoff=None is the
     tracked run: it attempts at every marked time and returns at the first
     failed attempt, with that attempt's note, because nothing after it is
-    read.  A recorded cutoff is the replay: each column commits its own
+    read.  It attempts all n columns at once with the column-batched kernel
+    ``_subset_couple_columns``, and the note is that of the first failing
+    column in column order.  A recorded cutoff is the replay: it runs the
+    scalar ``subset_couple_step`` on its one column, which commits its own
     outcome, a remainder draw on failure, and the walk runs to the end.
 
     Returns the schedule's analysis, the driver state and the failure note.
@@ -254,23 +267,31 @@ def _closing_walk(
         if rec is None:
             tm.shared_step(i, j, u)
             _apply_step(center, i - 1, j - 1, u)
-            continue
-        aux = lambda b=lo + p2 - s: aux_uniform(master, replica, b)
-        cpoint = SimplexPoint(center)
-        for v in range(tm.mat.shape[1]):
-            x2, y2, cpl = subset_couple_step(
-                SimplexPoint(tm.mat[:, v]), cpoint,
-                i, j, rec.piece_i, rec.piece_j, u, float(row[2]), aux,
+        elif cutoff is None:
+            cols, center, m, delta, code = _subset_couple_columns(
+                tm.mat, center, i - 1, j - 1,
+                [l - 1 for l in rec.piece_i], [l - 1 for l in rec.piece_j], u, float(row[2]),
             )
-            if cutoff is None and not cpl.success:
-                fin = math.isfinite(cpl.m) and math.isfinite(cpl.delta)
+            failed = np.flatnonzero(code != OK)
+            if failed.size:
+                v = int(failed[0])
+                mv, dv = float(m[v]), float(delta[v])
+                fin = math.isfinite(mv) and math.isfinite(dv)
                 return analysis, center, FailureNote(
-                    time=s, column=v + 1, m=cpl.m, delta=cpl.delta,
-                    lo=max(0.0, min(1.0, cpl.delta)) if fin else 0.0,
-                    hi=max(0.0, min(1.0, cpl.m + cpl.delta)) if fin else 0.0,
+                    time=s, column=v + 1, m=mv, delta=dv,
+                    lo=max(0.0, min(1.0, dv)) if fin else 0.0,
+                    hi=max(0.0, min(1.0, mv + dv)) if fin else 0.0,
+                    reason=REASONS[code[v]],
                 )
-            tm.mat[:, v] = x2.values
-        center = np.array(y2.values)
+            tm.mat = cols
+        else:
+            x2, y2, _ = subset_couple_step(
+                SimplexPoint(tm.mat[:, 0]), SimplexPoint(center),
+                i, j, rec.piece_i, rec.piece_j, u, float(row[2]),
+                lambda b=lo + p2 - s: aux_uniform(master, replica, b),
+            )
+            tm.mat[:, 0] = x2.values
+            center = np.array(y2.values)
     return analysis, center, None
 
 

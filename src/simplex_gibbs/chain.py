@@ -65,12 +65,16 @@ def _match_fsum(
     The candidate is tried first, so a state that already matches is
     returned bitwise unchanged.  Otherwise the target is bracketed and the
     bracket bisected in double space; fsum is exactly rounded and monotone
-    in v, and whenever the others are nonnegative and a nonnegative
-    solution exists (consecutive v doubles move the rounded sum by at most
-    one of its ulps, so no value is skipped) this finds it.  Returns None
-    when the equation would require a negative v, or (with max_move set) a
-    value farther than max_move from the candidate; callers use that as a
-    refusal to let a rounding cleanup turn into a real correction.
+    in v, so whenever the others are nonnegative and some nonnegative v
+    hits the target, this finds one.  Such a v need not exist: a step of v
+    can move the rounded sum by two of its ulps.  When v's ulp equals the
+    sum's and the others' exact sum lies half an ulp off that grid, every
+    v + others is a tie that rounds half to even, so the sum takes only
+    even last bits and an odd target is skipped.  Returns None when no
+    solution is found, when the equation would require a negative v, or
+    (with max_move set) when the solution lies farther than max_move from
+    the candidate; callers use that as a refusal to let a rounding cleanup
+    turn into a real correction.
     """
 
     def total(v: float) -> float:

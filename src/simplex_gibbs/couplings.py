@@ -23,10 +23,20 @@ complementary density by inverse cdf.  Both marginals are uniform on [0, 1]
 by construction and the success probability equals ``success_probability``.
 
 ``subset_couple_step`` applies the coupled fractions to both chains and, on
-success, adjusts the two updated x coordinates by at most a few ulps so that
-the fsum weights of the two pieces agree with the y chain bit for bit.  A
-piece that is a singleton {l} therefore leaves x_l bitwise equal to y_l,
-which is what makes full coalescence exact rather than approximate.
+success, adjusts the two updated x coordinates so that the fsum weights of
+the two pieces agree with the y chain bit for bit.  A piece that is a
+singleton {l} therefore leaves x_l bitwise equal to y_l, which is what makes
+full coalescence exact rather than approximate.  The adjustment is usually
+nothing or a few ulps, but an exact match is not always reachable: when the
+other coordinates of a piece sum to a value half an ulp of the piece weight
+off the moved coordinate's grid, round-half-even lets the weight take only
+every other double, and an odd target is missed by one ulp whatever the
+moved coordinate is.  Such an attempt is refused (see ``subset_couple_step``).
+
+``_subset_couple_columns`` is the same attempt for many follower chains
+against one driver, held as the columns of an array; the perfect sampler's
+tracked run uses it.  It reproduces ``subset_couple_step`` column by column,
+bit for bit, and reports why each column failed.
 """
 
 from __future__ import annotations
@@ -192,12 +202,14 @@ def subset_couple_step(
     i in piece_i and j in piece_j (the two sides of the split being layered
     at this step; their union need not be all of [n]).  On success the two
     updated x coordinates are nudged so that both piece weights match the y
-    chain exactly under fsum.  The nudges are pure rounding cleanups: when
-    the relation succeeded and the union's weight agrees across chains to
-    rounding error, they move each coordinate by at most a few ulps.  If
-    either nudge would need to move farther than ENFORCE_TOL, or would need
-    a negative coordinate, the attempt is demoted to a failure and the
-    unnudged states are returned.
+    chain exactly under fsum.  The nudges are rounding cleanups, meant to
+    move each coordinate by a few ulps at most, but they can fail even when
+    the relation succeeded and the union weights agree exactly: a rounding
+    tie can leave the target weight between two reachable fsum values (see
+    ``chain._match_fsum``).  If either nudge finds no exact match, would
+    need to move farther than ENFORCE_TOL, or would need a negative
+    coordinate, the attempt is demoted to a failure and the unnudged states
+    are returned.
 
     Returns:
         (x_next, y_next, PairCoupling).
@@ -239,3 +251,97 @@ def subset_couple_step(
             xa[i0] = vi
             xa[j0] = vj
     return SimplexPoint(xa), SimplexPoint(ya), cpl
+
+
+# per-column outcome codes of _subset_couple_columns, indexing REASONS
+OK, OUT_OF_RANGE, THINNED, DEGENERATE, NUDGE_REFUSED, UNCHECKED = range(6)
+REASONS = ("ok", "out_of_range", "thinned", "degenerate", "nudge_refused", "unchecked")
+
+
+def _subset_couple_columns(
+    xs: np.ndarray,
+    y: np.ndarray,
+    i0: int,
+    j0: int,
+    piece_i: Sequence[int],
+    piece_j: Sequence[int],
+    u: float,
+    coin: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weight-matching attempt of every column of xs against the driver y.
+
+    The array form of ``subset_couple_step`` for C follower chains sharing
+    one driver: xs is (n, C), indices are 0-based, i0 lies in piece_i and j0
+    in piece_j, and all columns share the driver fraction u and the
+    thinning coin.  The pieces are trusted, not checked.  Per column, s_x,
+    m, the candidate m * u + delta, the acceptance test and the exact split
+    are the scalar path's IEEE operations applied elementwise, and delta is
+    the same ``math.fsum(...) / s_x``, so every value is bitwise that of
+    ``subset_couple_step``.
+
+    The exact-weight nudges run only for columns before the first relation
+    failure, since a tracked run reads nothing after its first failure.
+
+    Returns:
+        (xs_next, y_next, m, delta, code).  code[v] is an index into REASONS:
+        OK, OUT_OF_RANGE, THINNED or DEGENERATE (no usable relation), or
+        NUDGE_REFUSED; a column after the first relation failure whose
+        relation held is UNCHECKED.  Columns coded OK hold their stepped,
+        nudged values; every other column keeps its input values, because
+        a failed attempt is resolved by the caller.  y_next is the driver
+        stepped with u.
+    """
+    cols = xs.shape[1]
+    piece_i, piece_j = list(piece_i), list(piece_j)
+    y_next = np.array(y, dtype=np.float64)
+    _apply_step(y_next, i0, j0, min(1.0, max(0.0, u)))
+    s_x = xs[i0] + xs[j0]
+    s_y = float(y[i0]) + float(y[j0])
+    live = (s_x > 0.0) & (s_y > 0.0)
+    rest = [l for l in piece_i if l != i0]
+    ys = [float(y[l]) for l in rest]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a degenerate pair sum leaves no usable relation, as in the scalar path
+        m = np.where(live, s_y / s_x, np.where(s_x == 0.0, math.inf, 0.0))
+        delta = np.array([
+            math.fsum(ys + negx) / sx if ok else math.nan
+            for negx, sx, ok in zip((-xs[rest]).T.tolist(), s_x.tolist(), live.tolist())
+        ])
+        cand = m * u + delta
+        usable = np.isfinite(m) & (m > 0.0) & np.isfinite(delta)
+        in_range = (cand >= 0.0) & (cand <= 1.0)
+        code = np.where(
+            ~usable, DEGENERATE,
+            np.where(~in_range, OUT_OF_RANGE, np.where(coin <= np.minimum(1.0, m), OK, THINNED)),
+        )
+        # exact split at the candidate, as TransitionMatrix.shared_step
+        a = cand * s_x
+        b = s_x - a
+        xi = np.where(a >= 0.5 * s_x, a, s_x - b)
+
+    failed = np.flatnonzero(code != OK)
+    first = int(failed[0]) if failed.size else cols
+    code[first:][code[first:] == OK] = UNCHECKED
+    out = np.array(xs, dtype=np.float64)
+    out[i0, :first] = xi[:first]
+    out[j0, :first] = b[:first]
+    nudged = []
+    for piece, k0 in ((piece_i, i0), (piece_j, j0)):
+        target = math.fsum(y_next[piece].tolist())
+        vals = []
+        for v, col in enumerate(out[piece, :first].T.tolist()):
+            if math.fsum(col) == target:
+                vals.append(out[k0, v])  # the fast path: already exact
+                continue
+            others = [c for l, c in zip(piece, col) if l != k0]
+            vals.append(_match_fsum(target, others, float(out[k0, v]), max_move=ENFORCE_TOL))
+        nudged.append(vals)
+    for v, (vi, vj) in enumerate(zip(*nudged)):
+        if vi is None or vj is None:
+            code[v] = NUDGE_REFUSED
+            out[i0, v] = xs[i0, v]
+            out[j0, v] = xs[j0, v]
+        else:
+            out[i0, v] = vi
+            out[j0, v] = vj
+    return out, y_next, m, delta, code

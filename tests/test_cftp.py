@@ -19,6 +19,7 @@ from simplex_gibbs.cftp import (
     BudgetExhaustedError,
     CftpResult,
     TransitionMatrix,
+    _closing_walk,
     cftp_sample,
     evolve_matrix,
     phase1_steps,
@@ -273,6 +274,69 @@ def test_n2_windows_always_certify():
     for r in range(40):
         rec = run_epoch(2, 5, r, 1)
         assert rec.coalesced
+
+
+# --------------------------------------------------------- failure notes
+
+def _tracked_note(cols, master, replica):
+    """Tracked closing walk of window 1 from the given columns; its note."""
+    n = cols.shape[0]
+    lo, _hi, _p1, p2 = window_geometry(n, 1)
+    center = np.array(SimplexPoint.center(n).values)
+    _, _, note = _closing_walk(TransitionMatrix(np.array(cols, dtype=float)), center,
+                               master, replica, lo, p2, None)
+    return note
+
+
+def test_failure_note_reason_nudge_refused():
+    rec = run_epoch(16, 5, 1, 1)
+    f = rec.failure
+    assert (f.time, f.column, f.reason) == (74, 1, "nudge_refused")
+    # the relation itself held: the candidate lay in [0, 1] and won the coin
+    row = read_blocks(5, 1, rec.p2 - f.time, rec.p2 - f.time + 1)[0]
+    u, coin = float(row[1]), float(row[2])
+    assert 0.0 <= f.m * u + f.delta <= 1.0 and coin <= min(1.0, f.m)
+    # the reason is a diagnostic only; the JSON record does not carry it
+    assert "reason" not in rec.to_json_dict()["failure"]
+
+
+def test_failure_note_reason_degenerate_vertex_column():
+    # vertex e_3 has no mass on the pair of window (4, 5, 4)'s first marked
+    # time, so its pair sum is zero and no relation exists
+    note = _tracked_note(np.eye(4)[:, [2]], 5, 4)
+    assert (note.time, note.column, note.reason) == (4, 1, "degenerate")
+    assert note.m == math.inf and math.isnan(note.delta)
+    assert note.lo == note.hi == 0.0
+
+
+def test_failure_note_reason_thinned():
+    note = _tracked_note(np.eye(4), 5, 4)
+    assert (note.time, note.column, note.reason) == (4, 1, "thinned")
+    _lo, _hi, _p1, p2 = window_geometry(4, 1)
+    row = read_blocks(5, 4, p2 - note.time, p2 - note.time + 1)[0]
+    u, coin = float(row[1]), float(row[2])
+    assert 0.0 <= note.m * u + note.delta <= 1.0 and coin > note.m
+    # column 3 fails the same marked time, later in column order
+    assert _tracked_note(np.eye(4)[:, [2, 0]], 5, 4).reason == "degenerate"
+
+
+def test_tracked_run_reports_first_failing_column():
+    # n = 2, window (2, 5, 1): one marked time, t = 3, with driver fraction
+    # u > 1/2.  A column whose pair sum exceeds the driver's by 1e-10 keeps
+    # its relation but cannot match weights within ENFORCE_TOL; a column of
+    # pair sum 1/2 has slope 2 and lands out of range.
+    assert read_blocks(5, 1, 0, 1)[0, 1] > 0.5
+    refused = [0.5, 0.5 + 1e-10]
+    oor = [0.25, 0.25]
+    center = [0.5, 0.5]
+    assert _tracked_note(np.array([refused]).T, 5, 1).reason == "nudge_refused"
+    assert _tracked_note(np.array([oor]).T, 5, 1).reason == "out_of_range"
+    note = _tracked_note(np.array([refused, oor]).T, 5, 1)
+    assert (note.time, note.column, note.reason) == (3, 1, "nudge_refused")
+    note = _tracked_note(np.array([oor, refused]).T, 5, 1)
+    assert (note.column, note.reason) == (1, "out_of_range")
+    note = _tracked_note(np.array([center, refused, oor]).T, 5, 1)
+    assert (note.column, note.reason) == (2, "nudge_refused")
 
 
 # ------------------------------------------------------------ propagation

@@ -10,14 +10,29 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from simplex_gibbs.chain import SimplexPoint, StepDraw, sample_uniform_simplex, weight
+from simplex_gibbs.chain import (
+    SimplexPoint,
+    StepDraw,
+    _match_fsum,
+    sample_uniform_simplex,
+    weight,
+)
 from simplex_gibbs.couplings import (
+    DEGENERATE,
+    ENFORCE_TOL,
+    NUDGE_REFUSED,
+    OK,
+    REASONS,
+    UNCHECKED,
+    _piece_weight_nudge,
+    _subset_couple_columns,
     couple_lambdas,
     proportional_step_pair,
     remainder_inverse,
     subset_couple_step,
     success_probability,
 )
+from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 
 from conftest import ALPHA
 
@@ -273,6 +288,180 @@ def test_degenerate_pair_sum_forces_failure():
     _, _, c = subset_couple_step(x, y, 1, 2, [1], [2, 3], 0.5, 0.5, _aux_from(rng))
     assert not c.success
     assert c.p == 0.0
+
+
+# ------------------------------------------------- column-batched kernel
+
+
+def _scalar_reason(cpl, u: float, coin: float) -> str:
+    """Why a subset_couple_step attempt failed, read off its outputs."""
+    if cpl.success:
+        return "ok"
+    if not (math.isfinite(cpl.m) and cpl.m > 0.0 and math.isfinite(cpl.delta)):
+        return "degenerate"
+    if not 0.0 <= cpl.m * u + cpl.delta <= 1.0:
+        return "out_of_range"
+    if coin > min(1.0, cpl.m):
+        return "thinned"
+    return "nudge_refused"
+
+
+def _follower(y: np.ndarray, part0: list[int], scale: float, rng) -> np.ndarray | None:
+    """A point equal to y off the part whose part weight equals y's exactly.
+
+    In a tracked run the union of the two pieces already carries the same
+    fsum weight in every chain (earlier splits tied it), so the followers
+    are built that way: the part's coordinates are perturbed by a relative
+    amount of order scale, then its largest one is re-solved for the weight.
+    """
+    x = np.array(y)
+    x[part0] = y[part0] * (1.0 + scale * rng.uniform(-1.0, 1.0, len(part0)))
+    k = part0[int(np.argmax(x[part0]))]
+    others = [float(x[l]) for l in part0 if l != k]
+    v = _match_fsum(math.fsum(y[part0].tolist()), others, float(x[k]))
+    if v is None:
+        return None
+    x[k] = v
+    return x
+
+
+def _oracle_columns(y, i0, j0, part0, rng) -> np.ndarray:
+    """Followers covering every outcome of an attempt against driver y."""
+    cols = []
+    for scale in (1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.9):
+        for _ in range(3):
+            x = _follower(y, part0, scale, rng)
+            if x is not None:
+                cols.append(x)
+    # a part weight off by far more than ENFORCE_TOL: the nudge is refused
+    off = np.array(y)
+    k = max(part0, key=lambda l: y[l])
+    off[k] += 1e-10
+    cols.append(off)
+    if len(y) > 2:
+        # a zero pair sum leaves no usable relation
+        zero = np.array(y)
+        rest = next(l for l in range(len(y)) if l not in (i0, j0))
+        zero[rest] += zero[i0] + zero[j0]
+        zero[i0] = zero[j0] = 0.0
+        cols.append(zero)
+    cols.append(np.array(y))  # the driver itself couples as a passthrough
+    return np.array(cols).T
+
+
+def _check_against_oracle(xs, y, rec, u, coin) -> list[str]:
+    i, j = rec.i, rec.j
+    pi0 = [l - 1 for l in rec.piece_i]
+    pj0 = [l - 1 for l in rec.piece_j]
+    out, y_next, m, delta, code = _subset_couple_columns(xs, y, i - 1, j - 1, pi0, pj0, u, coin)
+    failed = [v for v in range(xs.shape[1]) if code[v] != OK]
+    first = failed[0] if failed else xs.shape[1]
+    seen = []
+    ypt = SimplexPoint(y)
+    for v in range(xs.shape[1]):
+        x2, y2, cpl = subset_couple_step(
+            SimplexPoint(xs[:, v]), ypt, i, j, rec.piece_i, rec.piece_j, u, coin, lambda: 0.5
+        )
+        want = _scalar_reason(cpl, u, coin)
+        seen.append(want)
+        assert float(m[v]).hex() == cpl.m.hex()
+        assert float(delta[v]).hex() == cpl.delta.hex()
+        assert np.array_equal(y_next, y2.values)
+        got = REASONS[code[v]]
+        if v <= first:
+            assert got == want, (v, first)
+        elif got == "unchecked":
+            # past the first relation failure the nudge is not run
+            assert want in ("ok", "nudge_refused")
+        else:
+            assert got == want
+        if got == "ok":
+            assert np.array_equal(out[:, v], x2.values)
+        else:
+            assert np.array_equal(out[:, v], xs[:, v])
+        # alone, every column gets its full verdict
+        one, _, _, _, one_code = _subset_couple_columns(
+            xs[:, v : v + 1], y, i - 1, j - 1, pi0, pj0, u, coin
+        )
+        assert REASONS[one_code[0]] == want
+        if want == "ok":
+            assert np.array_equal(one[:, 0], x2.values)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_subset_couple_columns_matches_scalar_oracle(n):
+    rng = np.random.default_rng(600 + n)
+    counts = dict.fromkeys(REASONS[:5], 0)
+    for _ in range(4):
+        sched = EdgeSchedule.sample(n, 4 * n, rng)
+        analysis = analyze_schedule(sched)
+        for s in analysis.marked:
+            rec = analysis.splits[s]
+            y = sample_uniform_simplex(n, rng).values
+            part0 = [l - 1 for l in rec.part]
+            xs = _oracle_columns(y, rec.i - 1, rec.j - 1, part0, rng)
+            draws = [(float(rng.random()), float(rng.random())) for _ in range(3)]
+            draws += [(0.999, 0.01), (0.001, 0.01), (0.5, 0.999)]
+            for u, coin in draws:
+                # forward and reversed column orders move the first failure
+                for cols in (xs, xs[:, ::-1].copy()):
+                    for r in _check_against_oracle(cols, y, rec, u, coin):
+                        counts[r] += 1
+    # at n = 2 the part is the whole simplex, so followers share the pair
+    # sum with the driver: m = 1, delta = 0 and the relation always holds
+    expected = ("ok", "nudge_refused") if n == 2 else REASONS[:5]
+    assert all(counts[r] > 0 for r in expected), counts
+
+
+def test_kernel_reports_refused_nudge_before_later_relation_failure():
+    # one marked time: column 0's relation holds but its nudge is refused,
+    # column 1 has no usable relation, column 2 would succeed
+    rng = np.random.default_rng(7)
+    sched = EdgeSchedule.sample(4, 16, rng)
+    rec = analyze_schedule(sched).splits[max(analyze_schedule(sched).marked)]
+    y = sample_uniform_simplex(4, rng).values
+    i0, j0 = rec.i - 1, rec.j - 1
+    refused = np.array(y)
+    refused[i0] += 1e-10
+    zero = np.array(y)
+    rest = next(l for l in range(4) if l not in (i0, j0))
+    zero[rest] += zero[i0] + zero[j0]
+    zero[i0] = zero[j0] = 0.0
+    xs = np.array([refused, zero, y]).T
+    pi0 = [l - 1 for l in rec.piece_i]
+    pj0 = [l - 1 for l in rec.piece_j]
+    _, _, _, _, code = _subset_couple_columns(xs, y, i0, j0, pi0, pj0, 0.5, 0.01)
+    assert list(code) == [NUDGE_REFUSED, DEGENERATE, UNCHECKED]
+    seen = _check_against_oracle(xs, y, rec, 0.5, 0.01)
+    assert seen == ["nudge_refused", "degenerate", "ok"]
+
+
+def test_refused_nudge_round_half_even_tie():
+    # window run_epoch(16, 5, 1, 1), time 74, column 1: piece {13, 15} with
+    # the moved coordinate x_13 in [2^-3, 2^-2) (ulp 2^-55) and the sum in
+    # the same binade.  x_15 sits exactly half a sum-ulp off that grid, so
+    # every v + x_15 is a tie, rounded to an even last bit: fsum moves by
+    # two ulps every two steps of v, and the odd target is never hit.
+    x13 = float.fromhex("0x1.414fb9f831e52p-3")
+    x15 = float.fromhex("0x1.080950172eba6p-5")
+    target = float.fromhex("0x1.83520dfdfd93bp-3")
+    assert math.ldexp(x15, 55) % 1.0 == 0.5
+    assert math.fsum([x13, x15]) == float.fromhex("0x1.83520dfdfd93cp-3")
+    sums = set()
+    v = x13
+    for _ in range(16):
+        v = math.nextafter(v, 0.0)
+        sums.add(math.fsum([v, x15]))
+    assert target not in sums
+    assert all(math.ldexp(t, 55) % 2.0 == 0.0 for t in sums)  # even last bit
+    assert _match_fsum(target, [x15], x13) is None
+    assert _match_fsum(target, [x15], x13, max_move=ENFORCE_TOL) is None
+    xa = np.zeros(16)
+    xa[12], xa[14] = x13, x15
+    ya = np.zeros(16)
+    ya[12], ya[14] = target, 0.0
+    assert _piece_weight_nudge(xa, ya, [12, 14], 12) is None
 
 
 # ---------------------------------------------------------- proportional
