@@ -418,8 +418,8 @@ def test_kernel_reports_refused_nudge_before_later_relation_failure():
     # one marked time: column 0's relation holds but its nudge is refused,
     # column 1 has no usable relation, column 2 would succeed
     rng = np.random.default_rng(7)
-    sched = EdgeSchedule.sample(4, 16, rng)
-    rec = analyze_schedule(sched).splits[max(analyze_schedule(sched).marked)]
+    analysis = analyze_schedule(EdgeSchedule.sample(4, 16, rng))
+    rec = analysis.splits[analysis.marked[-1]]
     y = sample_uniform_simplex(4, rng).values
     i0, j0 = rec.i - 1, rec.j - 1
     refused = np.array(y)
