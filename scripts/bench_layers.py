@@ -5,7 +5,7 @@
 
 Imports ``simplex_gibbs`` from SRC_DIR, so one copy of this script can time
 clean exports of two commits with identical code and settings.  Each layer
-is timed ``--repeats`` times; one repeat runs a fixed batch of calls and
+is timed REPEATS times; one repeat runs a fixed batch of calls and
 reports seconds per call.  A row keeps the minimum (the least disturbed
 repeat), the median and the quartiles of the repeats.  Rows are merged into
 the output file under their label, replacing older rows of that label, and
@@ -38,6 +38,7 @@ from pathlib import Path
 N = 16
 MASTER = 5
 REPLICAS = range(8)
+REPEATS = 9
 
 
 def machine_facts() -> dict:
@@ -121,10 +122,10 @@ def layers() -> dict:
     return out
 
 
-def time_layer(calls: int, fn, repeats: int) -> dict:
+def time_layer(calls: int, fn) -> dict:
     fn()  # warm caches and lazy imports outside the timed repeats
     per_call = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         per_call.append((time.perf_counter() - t0) / calls)
@@ -132,7 +133,7 @@ def time_layer(calls: int, fn, repeats: int) -> dict:
     return {
         "unit": "s/call",
         "calls_per_repeat": calls,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "min": min(per_call),
         "median": statistics.median(per_call),
         "quartiles": [q1, q2, q3],
@@ -145,13 +146,10 @@ def main(argv=None) -> int:
     ap.add_argument("--src", required=True, help="source directory holding simplex_gibbs")
     ap.add_argument("--label", required=True, help="row label, e.g. parent or change")
     ap.add_argument("--out", type=Path, help="JSON file to merge the rows into")
-    ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
-    if args.repeats < 2:
-        ap.error("--repeats must be at least 2")
     sys.path.insert(0, str(Path(args.src).resolve()))
     rows = [
-        {"label": args.label, "layer": name, **time_layer(calls, fn, args.repeats)}
+        {"label": args.label, "layer": name, **time_layer(calls, fn)}
         for name, (calls, fn) in layers().items()
     ]
     for r in rows:

@@ -256,6 +256,8 @@ def _closing_walk(
     outcome, a remainder draw on failure, and the walk runs to the end.
 
     Returns the schedule's analysis, the driver state and the failure note.
+    After a tracked failure, the driver and tm stand as they were before
+    the failed attempt.
     """
     rows = read_blocks(master, replica, lo, lo + p2)[::-1]
     pairs = [pair_from_word(float(row[0]), tm.n) for row in rows]
@@ -268,7 +270,7 @@ def _closing_walk(
             tm.shared_step(i, j, u)
             _apply_step(center, i - 1, j - 1, u)
         elif cutoff is None:
-            cols, center, m, delta, code = _subset_couple_columns(
+            cols, y_next, m, delta, code = _subset_couple_columns(
                 tm.mat, center, i - 1, j - 1,
                 [l - 1 for l in rec.piece_i], [l - 1 for l in rec.piece_j], u, float(row[2]),
             )
@@ -284,6 +286,7 @@ def _closing_walk(
                     reason=REASONS[code[v]],
                 )
             tm.mat = cols
+            center = y_next
         else:
             x2, y2, _ = subset_couple_step(
                 SimplexPoint(tm.mat[:, 0]), SimplexPoint(center),

@@ -328,14 +328,11 @@ def _subset_couple_columns(
     nudged = []
     for piece, k0 in ((piece_i, i0), (piece_j, j0)):
         target = math.fsum(y_next[piece].tolist())
-        vals = []
-        for v, col in enumerate(out[piece, :first].T.tolist()):
-            if math.fsum(col) == target:
-                vals.append(out[k0, v])  # the fast path: already exact
-                continue
-            others = [c for l, c in zip(piece, col) if l != k0]
-            vals.append(_match_fsum(target, others, float(out[k0, v]), max_move=ENFORCE_TOL))
-        nudged.append(vals)
+        held = [l for l in piece if l != k0]
+        nudged.append([
+            _match_fsum(target, others, float(out[k0, v]), max_move=ENFORCE_TOL)
+            for v, others in enumerate(out[held, :first].T.tolist())
+        ])
     for v, (vi, vj) in enumerate(zip(*nudged)):
         if vi is None or vj is None:
             code[v] = NUDGE_REFUSED
