@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the perfect sampler, as min-of-k with their spread.
+"""Per-layer timings of the perfect sampler and the collision stage, as min-of-k.
 
     python scripts/bench_layers.py --src SRC_DIR --label LABEL --out BENCH.json
 
@@ -11,15 +11,25 @@ repeat), the median and the quartiles of the repeats.  Rows are merged into
 the output file under their label, replacing older rows of that label, and
 the file records the machine facts of the last run.
 
-Layers, all at n = 16 on window 1 of master 5:
+Layers, all at n = 16, the attempts and windows on window 1 of master 5:
   - ``marked_attempt_kernel``: one marked-time attempt of all n vertex
     columns against the driver with ``couplings._subset_couple_columns``
-    (absent before that kernel existed);
-  - ``marked_attempt_scalar``: the same attempt as n ``subset_couple_step``
-    calls on validated points, as the tracked run made it before;
+    (absent before that kernel existed), called with the signature of the
+    commit being timed;
+  - ``marked_attempt_one_column``: the same attempt for the first column
+    alone, as the replay and the collision stage make it: the kernel with
+    one column where the scalar ``subset_couple_step`` is gone, else one
+    ``subset_couple_step`` call on points validated in the call, as the
+    replay made it;
+  - ``marked_attempt_scalar``: the n-column attempt as n
+    ``subset_couple_step`` calls on points validated in the call, as the
+    tracked run made it before the kernel (only where
+    ``subset_couple_step`` exists);
   - ``run_epoch``: one tracked window, averaged over replicas 0..7;
   - ``propagate_through_epoch``: one replay of a point through a window;
-  - ``cftp_sample``: one exact sample, averaged over replicas 0..7.
+  - ``cftp_sample``: one exact sample, averaged over replicas 0..7;
+  - ``full_coupling_run``: one burn-in plus collision stage at C = 1,
+    averaged over the generators ``default_rng(0..7)``.
 Run it single-threaded on an otherwise idle machine, one label at a time.
 """
 
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import json
 import os
 import platform
@@ -91,27 +102,40 @@ def marked_time_state(replica: int):
 
 def layers() -> dict:
     """Name -> (calls per repeat, zero-arg callable running those calls)."""
+    import numpy as np
+
     cftp = importlib.import_module("simplex_gibbs.cftp")
     chain = importlib.import_module("simplex_gibbs.chain")
     couplings = importlib.import_module("simplex_gibbs.couplings")
+    two_stage = importlib.import_module("simplex_gibbs.two_stage")
     cols, center, rec, u, coin = marked_time_state(0)
-    pi0 = [l - 1 for l in rec.piece_i]
-    pj0 = [l - 1 for l in rec.piece_j]
+    out = {}
+    scalar = getattr(couplings, "subset_couple_step", None)
+    if scalar is not None:
+        def scalar_attempt(columns):
+            y = chain.SimplexPoint(center)
+            for v in range(columns):
+                scalar(chain.SimplexPoint(cols[:, v]), y, rec.i, rec.j,
+                       rec.piece_i, rec.piece_j, u, coin, lambda: 0.5)
 
-    def scalar_attempt():
-        y = chain.SimplexPoint(center)
-        for v in range(N):
-            couplings.subset_couple_step(
-                chain.SimplexPoint(cols[:, v]), y, rec.i, rec.j,
-                rec.piece_i, rec.piece_j, u, coin, lambda: 0.5,
-            )
-
-    out = {"marked_attempt_scalar": (20, lambda: [scalar_attempt() for _ in range(20)])}
+        out["marked_attempt_scalar"] = (20, lambda: [scalar_attempt(N) for _ in range(20)])
+        out["marked_attempt_one_column"] = (200, lambda: [scalar_attempt(1) for _ in range(200)])
     kernel = getattr(couplings, "_subset_couple_columns", None)
     if kernel is not None:
-        out["marked_attempt_kernel"] = (200, lambda: [
-            kernel(cols, center, rec.i - 1, rec.j - 1, pi0, pj0, u, coin) for _ in range(200)
-        ])
+        if "rec" in inspect.signature(kernel).parameters:
+            def attempt(xs):
+                return kernel(xs, center, rec, u, coin, lambda: 0.5)
+        else:
+            pi0 = [l - 1 for l in rec.piece_i]
+            pj0 = [l - 1 for l in rec.piece_j]
+
+            def attempt(xs):
+                return kernel(xs, center, rec.i - 1, rec.j - 1, pi0, pj0, u, coin)
+
+        out["marked_attempt_kernel"] = (200, lambda: [attempt(cols) for _ in range(200)])
+        if scalar is None:
+            first = cols[:, :1].copy()
+            out["marked_attempt_one_column"] = (200, lambda: [attempt(first) for _ in range(200)])
     certified = next(r for r in (cftp.run_epoch(N, MASTER, k, 1) for k in range(40)) if r.coalesced)
     point = chain.SimplexPoint.vertex(N, 1)
     out["run_epoch"] = (len(REPLICAS), lambda: [cftp.run_epoch(N, MASTER, r, 1) for r in REPLICAS])
@@ -119,6 +143,9 @@ def layers() -> dict:
         10, lambda: [cftp.propagate_through_epoch(point, certified) for _ in range(10)]
     )
     out["cftp_sample"] = (len(REPLICAS), lambda: [cftp.cftp_sample(N, MASTER, r) for r in REPLICAS])
+    out["full_coupling_run"] = (len(REPLICAS), lambda: [
+        two_stage.full_coupling_run(N, 1.0, np.random.default_rng(r)) for r in REPLICAS
+    ])
     return out
 
 

@@ -26,8 +26,6 @@ from simplex_gibbs.chain import (
 from simplex_gibbs.couplings import (
     PairCoupling,
     couple_lambdas,
-    proportional_step_pair,
-    subset_couple_step,
     success_probability,
 )
 from simplex_gibbs.experiments import SummaryReport, wilson_lower
@@ -71,14 +69,12 @@ __all__ = [
     "exact_split",
     "full_coupling_run",
     "propagate_through_epoch",
-    "proportional_step_pair",
     "run_epoch",
     "sample_step_draw",
     "sample_uniform_simplex",
     "sq_distance",
     "step",
     "stage_steps",
-    "subset_couple_step",
     "success_probability",
     "two_stage_pass",
     "weight",

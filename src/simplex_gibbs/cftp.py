@@ -13,17 +13,16 @@ driver, all columns sharing the driver fraction and one thinning coin.
 A window certifies when its closing-phase edges connect all coordinates and
 every column's every attempt succeeds; the exact piece enforcement then
 forces all n + 1 chains into bitwise collision, which is checked, not
-assumed.  The tracked run attempts all n columns of a marked time at once
-with the column-batched kernel ``couplings._subset_couple_columns`` and
-notes why the first failing column failed.  The collided point is pushed
-forward through the already-examined (nearer) windows by replaying their
-per-step maps: replayed chains attempt the same marked-time couplings with
-their own slope and intercept, through the scalar
-``couplings.subset_couple_step``, and resolve their own failures from
-per-block remainder draws, so the map each window applies is a fixed
-function of the stream no matter when it is replayed.  If the budget of
-window doublings is exhausted without a certificate the sampler raises
-instead of returning a biased point.
+assumed.  Every marked-time attempt, tracked or replayed, is one call of
+``couplings._subset_couple_columns``: the tracked run attempts all n
+columns at once and notes why the first failing column failed.  The
+collided point is pushed forward through the already-examined (nearer)
+windows by replaying their per-step maps: a replayed chain is a
+one-column attempt with its own slope and intercept, and resolves its own
+failures from per-block remainder draws, so the map each window applies is
+a fixed function of the stream no matter when it is replayed.  If the
+budget of window doublings is exhausted without a certificate the sampler
+raises instead of returning a biased point.
 
 Randomness is counter-addressed (see :mod:`.streams`): the step at absolute
 time t owns block -t - 1, so a step's draws never depend on which window or
@@ -34,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
 from .chain import SimplexPoint, StepDraw, _apply_step
-from .couplings import OK, REASONS, _subset_couple_columns, subset_couple_step
+from .couplings import _subset_couple_columns
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 from .streams import aux_uniform, iter_blocks_backward, pair_from_word, read_blocks
 
@@ -245,15 +245,15 @@ def _closing_walk(
     """Walk a window's closing phase: the columns of tm against the driver.
 
     Closing-phase time s (1-based) owns block lo + p2 - s.  Every time is a
-    shared step, except marked times before the cutoff, where each column
-    attempts the fraction coupling against the driver.  cutoff=None is the
-    tracked run: it attempts at every marked time and returns at the first
-    failed attempt, with that attempt's note, because nothing after it is
-    read.  It attempts all n columns at once with the column-batched kernel
-    ``_subset_couple_columns``, and the note is that of the first failing
-    column in column order.  A recorded cutoff is the replay: it runs the
-    scalar ``subset_couple_step`` on its one column, which commits its own
-    outcome, a remainder draw on failure, and the walk runs to the end.
+    shared step, except marked times before the cutoff, where every column
+    attempts the fraction coupling against the driver in one call of
+    ``_subset_couple_columns``; a failed relation draws its remainder
+    uniform from the block (``aux_uniform``, read at most once per time).
+    cutoff=None is the tracked run: it attempts at every marked time and
+    returns at the first attempt with a failed column, with the note of the
+    first such column, because nothing after it is read.  A recorded cutoff
+    is the replay: its column commits every outcome and the walk runs to
+    the end.
 
     Returns the schedule's analysis, the driver state and the failure note.
     After a tracked failure, the driver and tm stand as they were before
@@ -269,32 +269,22 @@ def _closing_walk(
         if rec is None:
             tm.shared_step(i, j, u)
             _apply_step(center, i - 1, j - 1, u)
-        elif cutoff is None:
-            cols, y_next, m, delta, code = _subset_couple_columns(
-                tm.mat, center, i - 1, j - 1,
-                [l - 1 for l in rec.piece_i], [l - 1 for l in rec.piece_j], u, float(row[2]),
-            )
-            failed = np.flatnonzero(code != OK)
-            if failed.size:
-                v = int(failed[0])
-                mv, dv = float(m[v]), float(delta[v])
-                fin = math.isfinite(mv) and math.isfinite(dv)
+            continue
+        aux = cache(partial(aux_uniform, master, replica, lo + p2 - s))
+        cols, y_next, cpls = _subset_couple_columns(tm.mat, center, rec, u, float(row[2]), aux)
+        if cutoff is None:
+            v = next((v for v, c in enumerate(cpls) if not c.success), None)
+            if v is not None:
+                c = cpls[v]
+                fin = math.isfinite(c.m) and math.isfinite(c.delta)
                 return analysis, center, FailureNote(
-                    time=s, column=v + 1, m=mv, delta=dv,
-                    lo=max(0.0, min(1.0, dv)) if fin else 0.0,
-                    hi=max(0.0, min(1.0, mv + dv)) if fin else 0.0,
-                    reason=REASONS[code[v]],
+                    time=s, column=v + 1, m=c.m, delta=c.delta,
+                    lo=max(0.0, min(1.0, c.delta)) if fin else 0.0,
+                    hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
+                    reason=c.reason,
                 )
-            tm.mat = cols
-            center = y_next
-        else:
-            x2, y2, _ = subset_couple_step(
-                SimplexPoint(tm.mat[:, 0]), SimplexPoint(center),
-                i, j, rec.piece_i, rec.piece_j, u, float(row[2]),
-                lambda b=lo + p2 - s: aux_uniform(master, replica, b),
-            )
-            tm.mat[:, 0] = x2.values
-            center = np.array(y2.values)
+        tm.mat = cols
+        center = y_next
     return analysis, center, None
 
 

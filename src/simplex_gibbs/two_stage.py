@@ -7,7 +7,8 @@ squared distance to O(n^-4C) in expectation.  Second, a fresh edge schedule
 of length ceil(C n ln n) is drawn up front, its split structure is computed,
 and the chains run forward through it: at every marked time the
 weight-matching subset coupling is attempted on the two pieces of the
-split, at every other time the step is proportional.  The pass is
+split (``couplings._subset_couple_columns`` with one follower column),
+at every other time the step is proportional.  The pass is
 non-Markovian only through the schedule: each chain still makes uniform
 pair and fraction draws marginally, so both remain faithful copies of the
 dynamics.
@@ -42,12 +43,10 @@ from simplex_gibbs.chain import (
     sample_step_draw,
     sample_uniform_simplex,
     sq_distance,
+    step,
     weight,
 )
-from simplex_gibbs.couplings import (
-    proportional_step_pair,
-    subset_couple_step,
-)
+from simplex_gibbs.couplings import _subset_couple_columns
 from simplex_gibbs.partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 
 
@@ -140,12 +139,14 @@ class MarkedAudit:
     """Record of one marked-time coupling attempt.
 
     weight_diff is w_x(S(s,1)) - w_y(S(s,1)) evaluated immediately after
-    the step; the success path enforces it to be exactly 0.0.  The pre-step
+    the step; the success path enforces it to be exactly 0.0.  reason is
+    "ok" or why the attempt failed (``couplings.REASONS``).  The pre-step
     closeness and floor observations feed the condition monitor summaries.
     """
 
     time: int
     success: bool
+    reason: str
     weight_diff: float
     m: float
     delta: float
@@ -200,14 +201,16 @@ def two_stage_pass(
             pre_min = float(min(np.min(x.values), np.min(y.values)))
             u = float(rng.random())
             coin = float(rng.random())
-            x, y, cpl = subset_couple_step(
-                x, y, i, j, rec.piece_i, rec.piece_j, u, coin, lambda: float(rng.random())
+            cols, y_next, (cpl,) = _subset_couple_columns(
+                x.values[:, None], y.values, rec, u, coin, rng.random
             )
+            x, y = SimplexPoint(cols[:, 0]), SimplexPoint(y_next)
             diff = weight(rec.piece_small, x) - weight(rec.piece_small, y)
             audits.append(
                 MarkedAudit(
                     time=s,
                     success=cpl.success,
+                    reason=cpl.reason,
                     weight_diff=diff,
                     m=cpl.m,
                     delta=cpl.delta,
@@ -220,8 +223,8 @@ def two_stage_pass(
             if not cpl.success:
                 failed_at = s
         else:
-            lam = float(rng.random())
-            x, y = proportional_step_pair(x, y, StepDraw(i, j, lam))
+            draw = StepDraw(i, j, float(rng.random()))
+            x, y = step(x, draw), step(y, draw)
         if z_out is not None:
             z_out.append(sq_distance(x, y))
     all_ok = failed_at is None and len(audits) == len(analysis.marked)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from hypothesis import strategies as hst
 from simplex_gibbs.chain import (
     SimplexPoint,
     StepDraw,
+    _apply_step,
     _match_fsum,
     sample_uniform_simplex,
+    step,
     weight,
 )
 from simplex_gibbs.couplings import (
@@ -22,17 +25,15 @@ from simplex_gibbs.couplings import (
     ENFORCE_TOL,
     NUDGE_REFUSED,
     OK,
+    OUT_OF_RANGE,
     REASONS,
-    UNCHECKED,
-    _piece_weight_nudge,
+    THINNED,
     _subset_couple_columns,
     couple_lambdas,
-    proportional_step_pair,
     remainder_inverse,
-    subset_couple_step,
     success_probability,
 )
-from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
+from simplex_gibbs.partitions import EdgeSchedule, SplitRecord, analyze_schedule
 
 from conftest import ALPHA
 
@@ -201,7 +202,65 @@ def test_remainder_inverse_distribution():
     assert st.kstest(x, cdf).pvalue > ALPHA
 
 
+# ---------------------------------------------------------- scalar oracle
+
+
+def subset_couple_step(x, y, i, j, piece_i, piece_j, u, coin, aux):
+    """The weight-matching attempt on one pair of validated points.
+
+    The scalar form the package used before every caller moved to
+    ``_subset_couple_columns``; it is kept here as the reference the kernel
+    is checked against, bit for bit.  On success the two updated x
+    coordinates are nudged so that both piece weights match the y chain
+    under fsum; a nudge that finds no exact match within ENFORCE_TOL
+    demotes the attempt to NUDGE_REFUSED and the unnudged states are
+    returned.
+    """
+    pi = sorted(piece_i)
+    pj = sorted(piece_j)
+    xv, yv = x.values, y.values
+    i0, j0 = i - 1, j - 1
+    s_x = float(xv[i0]) + float(xv[j0])
+    s_y = float(yv[i0]) + float(yv[j0])
+    if s_x > 0.0 and s_y > 0.0:
+        m = s_y / s_x
+        terms = [float(yv[l - 1]) for l in pi if l != i]
+        terms += [-float(xv[l - 1]) for l in pi if l != i]
+        delta = math.fsum(terms) / s_x
+    else:
+        m = math.inf if s_x == 0.0 else 0.0
+        delta = math.nan
+    cpl = couple_lambdas(m, delta, u, coin, aux)
+
+    xa = np.array(xv)
+    ya = np.array(yv)
+    _apply_step(xa, i0, j0, min(1.0, max(0.0, cpl.lam_x)))
+    _apply_step(ya, i0, j0, min(1.0, max(0.0, cpl.lam_y)))
+    if cpl.success:
+        nudged = []
+        for piece, k in ((pi, i), (pj, j)):
+            target = math.fsum(float(ya[l - 1]) for l in piece)
+            others = [float(xa[l - 1]) for l in piece if l != k]
+            nudged.append(_match_fsum(target, others, float(xa[k - 1]), max_move=ENFORCE_TOL))
+        if None in nudged:
+            cpl = replace(cpl, code=NUDGE_REFUSED)
+        else:
+            xa[i0], xa[j0] = nudged
+    return SimplexPoint(xa), SimplexPoint(ya), cpl
+
+
 # ---------------------------------------------------------- subset step
+
+
+def _split(i, j, piece_i, piece_j):
+    return SplitRecord(time=1, i=i, j=j, part=tuple(sorted(piece_i + piece_j)),
+                       piece_i=piece_i, piece_j=piece_j)
+
+
+def _attempt(x, y, rec, u, coin, aux):
+    """One-column kernel attempt on validated points."""
+    cols, y_next, (cpl,) = _subset_couple_columns(x.values[:, None], y.values, rec, u, coin, aux)
+    return SimplexPoint(cols[:, 0]), SimplexPoint(y_next), cpl
 
 
 def _engineered_pair():
@@ -214,12 +273,13 @@ def _engineered_pair():
 
 def test_subset_couple_step_success_matches_weights_exactly():
     x, y = _engineered_pair()
+    rec = _split(1, 3, (1, 2), (3, 4))
     rng = np.random.default_rng(3)
     hits = 0
     for _ in range(200):
         u = float(rng.random())
         coin = float(rng.random())
-        x2, y2, c = subset_couple_step(x, y, 1, 3, [1, 2], [3, 4], u, coin, _aux_from(rng))
+        x2, y2, c = _attempt(x, y, rec, u, coin, _aux_from(rng))
         # s_x = 0.5, s_y = 0.6, m = 1.2, delta = (0.2 - 0.25) / 0.5 = -0.1
         assert c.m == pytest.approx(1.2)
         assert c.delta == pytest.approx(-0.1)
@@ -233,12 +293,13 @@ def test_subset_couple_step_success_matches_weights_exactly():
 
 
 def test_subset_couple_step_singleton_piece_collides_coordinate():
+    rec = _split(2, 4, (2,), (1, 3, 4, 5))
     rng = np.random.default_rng(9)
     for _ in range(300):
         x = sample_uniform_simplex(5, rng)
         y = sample_uniform_simplex(5, rng)
         u, coin = float(rng.random()), float(rng.random())
-        x2, y2, c = subset_couple_step(x, y, 2, 4, [2], [1, 3, 4, 5], u, coin, _aux_from(rng))
+        x2, y2, c = _attempt(x, y, rec, u, coin, _aux_from(rng))
         if c.success:
             # piece {2} forces bitwise equality of that coordinate
             assert float(x2.values[1]) == float(y2.values[1])
@@ -246,11 +307,12 @@ def test_subset_couple_step_singleton_piece_collides_coordinate():
 
 def test_subset_couple_step_failure_keeps_marginal_behavior():
     x, y = _engineered_pair()
+    rec = _split(1, 3, (1, 2), (3, 4))
     rng = np.random.default_rng(31)
     lams = []
     for _ in range(4000):
         u, coin = float(rng.random()), float(rng.random())
-        x2, y2, c = subset_couple_step(x, y, 1, 3, [1, 2], [3, 4], u, coin, _aux_from(rng))
+        x2, y2, c = _attempt(x, y, rec, u, coin, _aux_from(rng))
         lams.append(c.lam_x)
         assert c.lam_y == u
     assert st.kstest(np.array(lams), "uniform").pvalue > ALPHA
@@ -258,52 +320,55 @@ def test_subset_couple_step_failure_keeps_marginal_behavior():
 
 def test_subset_couple_step_success_rate_matches_formula():
     x, y = _engineered_pair()
+    rec = _split(1, 3, (1, 2), (3, 4))
     rng = np.random.default_rng(8)
     trials = 4000
     hits = 0
     for _ in range(trials):
         u, coin = float(rng.random()), float(rng.random())
-        _, _, c = subset_couple_step(x, y, 1, 3, [1, 2], [3, 4], u, coin, _aux_from(rng))
+        _, _, c = _attempt(x, y, rec, u, coin, _aux_from(rng))
         hits += c.success
     p = success_probability(1.2, -0.1)
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(hits / trials - p) < 4.0 * se
 
 
-def test_subset_couple_step_validation():
-    x, y = _engineered_pair()
-    aux = lambda: 0.5
-    with pytest.raises(ValueError):
-        subset_couple_step(x, y, 1, 3, [2], [3, 4], 0.5, 0.5, aux)
-    with pytest.raises(ValueError):
-        subset_couple_step(x, y, 1, 3, [1, 3], [3, 4], 0.5, 0.5, aux)
-    with pytest.raises(ValueError):
-        subset_couple_step(x, y, 1, 3, [1, 2], [3, 9], 0.5, 0.5, aux)
-
-
 def test_degenerate_pair_sum_forces_failure():
     x = SimplexPoint(np.array([0.0, 0.0, 1.0]))
     y = SimplexPoint(np.array([0.2, 0.3, 0.5]))
     rng = np.random.default_rng(2)
-    _, _, c = subset_couple_step(x, y, 1, 2, [1], [2, 3], 0.5, 0.5, _aux_from(rng))
-    assert not c.success
+    _, _, c = _attempt(x, y, _split(1, 2, (1,), (2, 3)), 0.5, 0.5, _aux_from(rng))
+    assert not c.success and c.reason == "degenerate"
     assert c.p == 0.0
+
+
+def test_couple_lambdas_codes_and_probability():
+    aux = lambda: 0.25
+    assert couple_lambdas(1.2, -0.1, 0.5, 0.5, aux).code == OK
+    assert couple_lambdas(1.2, -0.1, 0.05, 0.5, aux).code == OUT_OF_RANGE
+    assert couple_lambdas(0.9, 0.05, 0.5, 0.95, aux).code == THINNED
+    assert couple_lambdas(math.inf, math.nan, 0.5, 0.5, aux).code == DEGENERATE
+    for (m, d), p in FROZEN_P.items():
+        c = couple_lambdas(m, d, 0.5, 0.5, aux)
+        assert c.p == success_probability(m, d) == pytest.approx(p, abs=1e-12)
+        assert c.reason == REASONS[c.code]
 
 
 # ------------------------------------------------- column-batched kernel
 
+# reasons under which couple_lambdas drew a remainder uniform
+RELATION_FAILED = ("out_of_range", "thinned", "degenerate")
+
 
 def _scalar_reason(cpl, u: float, coin: float) -> str:
     """Why a subset_couple_step attempt failed, read off its outputs."""
-    if cpl.success:
-        return "ok"
     if not (math.isfinite(cpl.m) and cpl.m > 0.0 and math.isfinite(cpl.delta)):
         return "degenerate"
     if not 0.0 <= cpl.m * u + cpl.delta <= 1.0:
         return "out_of_range"
     if coin > min(1.0, cpl.m):
         return "thinned"
-    return "nudge_refused"
+    return "ok" if cpl.success else "nudge_refused"
 
 
 def _follower(y: np.ndarray, part0: list[int], scale: float, rng) -> np.ndarray | None:
@@ -349,50 +414,60 @@ def _oracle_columns(y, i0, j0, part0, rng) -> np.ndarray:
     return np.array(cols).T
 
 
+class _CountingAux:
+    """Remainder uniforms (start + 1)/8, (start + 2)/8, ... mod 1, counting calls."""
+
+    def __init__(self, start: int = 0) -> None:
+        self.calls = start
+
+    def __call__(self) -> float:
+        self.calls += 1
+        return self.calls / 8.0 % 1.0
+
+
 def _check_against_oracle(xs, y, rec, u, coin) -> list[str]:
-    i, j = rec.i, rec.j
-    pi0 = [l - 1 for l in rec.piece_i]
-    pj0 = [l - 1 for l in rec.piece_j]
-    out, y_next, m, delta, code = _subset_couple_columns(xs, y, i - 1, j - 1, pi0, pj0, u, coin)
-    failed = [v for v in range(xs.shape[1]) if code[v] != OK]
-    first = failed[0] if failed else xs.shape[1]
+    """Every column of one kernel call against the scalar oracle, bitwise.
+
+    The kernel's remainder uniforms are numbered in call order; column v's
+    oracle gets the uniform the kernel should have given it, and uses it
+    exactly when its relation failed.
+    """
+    aux = _CountingAux()
+    out, y_next, cpls = _subset_couple_columns(xs, y, rec, u, coin, aux)
+    assert len(cpls) == xs.shape[1]
     seen = []
     ypt = SimplexPoint(y)
+    oracle_aux = _CountingAux()
     for v in range(xs.shape[1]):
+        before = oracle_aux.calls
         x2, y2, cpl = subset_couple_step(
-            SimplexPoint(xs[:, v]), ypt, i, j, rec.piece_i, rec.piece_j, u, coin, lambda: 0.5
+            SimplexPoint(xs[:, v]), ypt, rec.i, rec.j, rec.piece_i, rec.piece_j, u, coin, oracle_aux
         )
         want = _scalar_reason(cpl, u, coin)
         seen.append(want)
-        assert float(m[v]).hex() == cpl.m.hex()
-        assert float(delta[v]).hex() == cpl.delta.hex()
+        assert oracle_aux.calls - before == (want in RELATION_FAILED)
+        got = cpls[v]
+        assert got.reason == want
+        assert got.m.hex() == cpl.m.hex()
+        assert got.delta.hex() == cpl.delta.hex()
+        assert got.lam_x.hex() == cpl.lam_x.hex() and got.lam_y == u
         assert np.array_equal(y_next, y2.values)
-        got = REASONS[code[v]]
-        if v <= first:
-            assert got == want, (v, first)
-        elif got == "unchecked":
-            # past the first relation failure the nudge is not run
-            assert want in ("ok", "nudge_refused")
-        else:
-            assert got == want
-        if got == "ok":
-            assert np.array_equal(out[:, v], x2.values)
-        else:
-            assert np.array_equal(out[:, v], xs[:, v])
-        # alone, every column gets its full verdict
-        one, _, _, _, one_code = _subset_couple_columns(
-            xs[:, v : v + 1], y, i - 1, j - 1, pi0, pj0, u, coin
+        # every column commits its outcome, failed columns included
+        assert np.array_equal(out[:, v], x2.values)
+        # alone, given the same remainder uniform, a column commits the same
+        one, _, (alone,) = _subset_couple_columns(
+            xs[:, v : v + 1], y, rec, u, coin, _CountingAux(before)
         )
-        assert REASONS[one_code[0]] == want
-        if want == "ok":
-            assert np.array_equal(one[:, 0], x2.values)
+        assert alone.code == got.code
+        assert np.array_equal(one[:, 0], out[:, v])
+    assert aux.calls == oracle_aux.calls
     return seen
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
 def test_subset_couple_columns_matches_scalar_oracle(n):
     rng = np.random.default_rng(600 + n)
-    counts = dict.fromkeys(REASONS[:5], 0)
+    counts = dict.fromkeys(REASONS, 0)
     for _ in range(4):
         sched = EdgeSchedule.sample(n, 4 * n, rng)
         analysis = analyze_schedule(sched)
@@ -404,19 +479,19 @@ def test_subset_couple_columns_matches_scalar_oracle(n):
             draws = [(float(rng.random()), float(rng.random())) for _ in range(3)]
             draws += [(0.999, 0.01), (0.001, 0.01), (0.5, 0.999)]
             for u, coin in draws:
-                # forward and reversed column orders move the first failure
+                # forward and reversed column orders reorder the remainder draws
                 for cols in (xs, xs[:, ::-1].copy()):
                     for r in _check_against_oracle(cols, y, rec, u, coin):
                         counts[r] += 1
     # at n = 2 the part is the whole simplex, so followers share the pair
     # sum with the driver: m = 1, delta = 0 and the relation always holds
-    expected = ("ok", "nudge_refused") if n == 2 else REASONS[:5]
+    expected = ("ok", "nudge_refused") if n == 2 else REASONS
     assert all(counts[r] > 0 for r in expected), counts
 
 
 def test_kernel_reports_refused_nudge_before_later_relation_failure():
     # one marked time: column 0's relation holds but its nudge is refused,
-    # column 1 has no usable relation, column 2 would succeed
+    # column 1 has no usable relation, column 2 succeeds
     rng = np.random.default_rng(7)
     analysis = analyze_schedule(EdgeSchedule.sample(4, 16, rng))
     rec = analysis.splits[analysis.marked[-1]]
@@ -429,10 +504,10 @@ def test_kernel_reports_refused_nudge_before_later_relation_failure():
     zero[rest] += zero[i0] + zero[j0]
     zero[i0] = zero[j0] = 0.0
     xs = np.array([refused, zero, y]).T
-    pi0 = [l - 1 for l in rec.piece_i]
-    pj0 = [l - 1 for l in rec.piece_j]
-    _, _, _, _, code = _subset_couple_columns(xs, y, i0, j0, pi0, pj0, 0.5, 0.01)
-    assert list(code) == [NUDGE_REFUSED, DEGENERATE, UNCHECKED]
+    aux = _CountingAux()
+    _, _, cpls = _subset_couple_columns(xs, y, rec, 0.5, 0.01, aux)
+    assert [c.code for c in cpls] == [NUDGE_REFUSED, DEGENERATE, OK]
+    assert aux.calls == 1  # only the failed relation draws a remainder
     seen = _check_against_oracle(xs, y, rec, 0.5, 0.01)
     assert seen == ["nudge_refused", "degenerate", "ok"]
 
@@ -457,11 +532,6 @@ def test_refused_nudge_round_half_even_tie():
     assert all(math.ldexp(t, 55) % 2.0 == 0.0 for t in sums)  # even last bit
     assert _match_fsum(target, [x15], x13) is None
     assert _match_fsum(target, [x15], x13, max_move=ENFORCE_TOL) is None
-    xa = np.zeros(16)
-    xa[12], xa[14] = x13, x15
-    ya = np.zeros(16)
-    ya[12], ya[14] = target, 0.0
-    assert _piece_weight_nudge(xa, ya, [12, 14], 12) is None
 
 
 # ---------------------------------------------------------- proportional
@@ -473,16 +543,15 @@ def test_two_coordinate_proportional_step_collides_bitwise():
         x = sample_uniform_simplex(2, rng)
         y = sample_uniform_simplex(2, rng)
         d = StepDraw(1, 2, float(rng.random()))
-        x2, y2 = proportional_step_pair(x, y, d)
-        assert x2.equals_bitwise(y2)
+        assert step(x, d).equals_bitwise(step(y, d))
 
 
-def test_proportional_step_pair_shares_draw():
+def test_proportional_step_shares_draw():
     rng = np.random.default_rng(45)
     x = sample_uniform_simplex(4, rng)
     y = sample_uniform_simplex(4, rng)
     d = StepDraw(2, 4, 0.75)
-    x2, y2 = proportional_step_pair(x, y, d)
+    x2, y2 = step(x, d), step(y, d)
     sx = float(x.values[1]) + float(x.values[3])
     sy = float(y.values[1]) + float(y.values[3])
     # lam >= 1/2 takes the direct branch of the split, so == is exact

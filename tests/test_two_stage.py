@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from simplex_gibbs.chain import SimplexPoint, sample_step_draw, sample_uniform_simplex, sq_distance
-from simplex_gibbs.couplings import proportional_step_pair
+from simplex_gibbs.chain import SimplexPoint, sample_step_draw, sample_uniform_simplex, sq_distance, step
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.two_stage import (
     burn_in_steps,
@@ -60,7 +59,8 @@ def test_proportional_run_contracts():
 def _proportional_run_reference(x, y, steps, rng, z_out):
     """The burn-in as one validated SimplexPoint pair per step."""
     for _ in range(steps):
-        x, y = proportional_step_pair(x, y, sample_step_draw(x.n, rng))
+        draw = sample_step_draw(x.n, rng)
+        x, y = step(x, draw), step(y, draw)
         z_out.append(sq_distance(x, y))
     return x, y
 
@@ -116,6 +116,27 @@ def test_stage_pass_disconnected_schedule_never_couples():
         res = two_stage_pass(x, y, sched, rng, ana)
         assert not res.coalesced and not res.all_succeeded
         assert res.audits == ()
+
+
+def test_stage_audits_record_why_an_attempt_failed():
+    # x has no mass on the first marked pair (1, 2), so its attempt has no
+    # usable relation, and the pass attempts nothing after it
+    sched = EdgeSchedule(3, ((1, 2), (2, 3)))
+    x = SimplexPoint(np.array([0.0, 0.0, 1.0]))
+    res = two_stage_pass(x, SimplexPoint.center(3), sched, np.random.default_rng(412))
+    assert [(a.time, a.success, a.reason) for a in res.audits] == [(1, False, "degenerate")]
+    assert res.failed_at == 1 and not res.coalesced
+    # a coalesced run records only ok; a failed one fails its last attempt
+    rng = np.random.default_rng(413)
+    runs = [full_coupling_run(4, 1.0, rng) for _ in range(40)]
+    for r in runs:
+        reasons = [a.reason for a in r.stage.audits]
+        assert [a.success for a in r.stage.audits] == [t == "ok" for t in reasons]
+        if r.coalesced:
+            assert set(reasons) == {"ok"}
+        elif r.stage.failed_at is not None:
+            assert reasons[-1] != "ok" and set(reasons[:-1]) <= {"ok"}
+    assert any(r.coalesced for r in runs) and any(r.stage.failed_at for r in runs)
 
 
 def test_stage_pass_dimension_mismatch():
