@@ -12,6 +12,10 @@ the output file under their label, replacing older rows of that label, and
 the file records the machine facts of the last run.
 
 Layers, all at n = 16, the attempts and windows on window 1 of master 5:
+  - ``exact_split``: one scalar pair split, over a fixed set of 1000
+    fractions and pair sums;
+  - ``shared_step``: one shared step of all n columns of a
+    ``TransitionMatrix``, over the first 1000 draws of window 1;
   - ``marked_attempt_kernel``: one marked-time attempt of all n vertex
     columns against the driver with ``couplings._subset_couple_columns``
     (absent before that kernel existed), called with the signature of the
@@ -110,6 +114,14 @@ def layers() -> dict:
     two_stage = importlib.import_module("simplex_gibbs.two_stage")
     cols, center, rec, u, coin = marked_time_state(0)
     out = {}
+    gen = np.random.default_rng(0)
+    splits = list(zip(gen.random(1000).tolist(), (2.0 * gen.random(1000)).tolist()))
+    out["exact_split"] = (len(splits), lambda: [chain.exact_split(lam, s) for lam, s in splits])
+    streams = importlib.import_module("simplex_gibbs.streams")
+    draws = [(*streams.pair_from_word(float(row[0]), N), float(row[1]))
+             for row in streams.read_blocks(MASTER, 0, 0, 1000)]
+    tm = cftp.TransitionMatrix.identity(N)
+    out["shared_step"] = (len(draws), lambda: [tm.shared_step(i, j, lam) for i, j, lam in draws])
     scalar = getattr(couplings, "subset_couple_step", None)
     if scalar is not None:
         def scalar_attempt(columns):
@@ -180,8 +192,8 @@ def main(argv=None) -> int:
         for name, (calls, fn) in layers().items()
     ]
     for r in rows:
-        print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * 1e3:9.3f} ms"
-              f"  median {r['median'] * 1e3:9.3f} ms")
+        print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * 1e6:10.3f} us"
+              f"  median {r['median'] * 1e6:10.3f} us")
     if args.out is not None:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         kept = [r for r in doc.get("rows", []) if r["label"] != args.label]

@@ -13,16 +13,21 @@ driver, all columns sharing the driver fraction and one thinning coin.
 A window certifies when its closing-phase edges connect all coordinates and
 every column's every attempt succeeds; the exact piece enforcement then
 forces all n + 1 chains into bitwise collision, which is checked, not
-assumed.  Every marked-time attempt, tracked or replayed, is one call of
-``couplings._subset_couple_columns``: the tracked run attempts all n
-columns at once and notes why the first failing column failed.  The
-collided point is pushed forward through the already-examined (nearer)
-windows by replaying their per-step maps: a replayed chain is a
-one-column attempt with its own slope and intercept, and resolves its own
-failures from per-block remainder draws, so the map each window applies is
-a fixed function of the stream no matter when it is replayed.  If the
-budget of window doublings is exhausted without a certificate the sampler
-raises instead of returning a biased point.
+assumed.  The collided point is pushed forward through the already-examined
+(nearer) windows by replaying their per-step maps.
+
+One walk, ``_walk_window``, runs every window, tracked or replayed.  The
+tracked run carries the n vertex chains as the columns of a
+:class:`TransitionMatrix`; a replay carries its one chain as a one-column
+matrix.  Both take every shared step through ``TransitionMatrix.shared_step``
+and every marked-time attempt through one call of
+``couplings._subset_couple_columns``.  The tracked run attempts all n
+columns at once and notes why the first failing column failed; a replayed
+chain attempts with its own slope and intercept and resolves its own
+failures from per-block remainder draws.  The map each window applies is
+thus one fixed function of the stream, no matter when it is replayed.  If
+the budget of window doublings is exhausted without a certificate the
+sampler raises instead of returning a biased point.
 
 Randomness is counter-addressed (see :mod:`.streams`): the step at absolute
 time t owns block -t - 1, so a step's draws never depend on which window or
@@ -85,16 +90,17 @@ def window_geometry(n: int, k: int) -> tuple[int, int, int, int]:
 
 @dataclass
 class TransitionMatrix:
-    """Composition of shared pair-mixing steps, tracked by vertex images.
+    """Chains stepped together, one per column, by shared pair-mixing steps.
 
-    Column v holds the current state of the chain started at vertex e_(v+1).
-    Because each shared step acts linearly on the state, the matrix applied
-    to any starting point reproduces (up to accumulated rounding, not
-    bitwise) the chain run directly from that point with the same draws.
-    Rows i and j are updated entrywise through the same exact-split
-    arithmetic as a single chain, so each column IS the single-chain
-    trajectory of its vertex, bit for bit.  A replay carries its one
-    replayed chain as a single-column matrix.
+    Started from the identity, column v holds the current state of the
+    chain started at vertex e_(v+1).  Because each shared step acts
+    linearly on the state, the matrix applied to any starting point
+    reproduces (up to accumulated rounding, not bitwise) the chain run
+    directly from that point with the same draws.  A shared step is one
+    ``chain._apply_step`` on the whole matrix, the same exact split as a
+    single chain applied entrywise, so each column IS the single-chain
+    trajectory of its start, bit for bit.  A replay carries its one
+    replayed chain as a one-column matrix.
     """
 
     mat: np.ndarray
@@ -111,15 +117,7 @@ class TransitionMatrix:
 
     def shared_step(self, i: int, j: int, lam: float) -> None:
         """Apply one shared step with pair (i, j), 1-based, to all columns."""
-        m = self.mat
-        i0, j0 = i - 1, j - 1
-        s = m[i0] + m[j0]
-        a = lam * s
-        b = s - a
-        direct = a >= 0.5 * s
-        # matches exact_split per entry: the indirect branch returns (s-b, b)
-        m[i0] = np.where(direct, a, s - b)
-        m[j0] = b
+        _apply_step(self.mat, i - 1, j - 1, lam)
 
     def apply(self, x) -> np.ndarray:
         """Image of a starting point under the composed map (one matvec)."""
@@ -233,35 +231,47 @@ class BudgetExhaustedError(RuntimeError):
         self.doublings = doublings
 
 
-def _closing_walk(
+def _walk_window(
     tm: TransitionMatrix,
-    center: np.ndarray,
     master: int,
     replica: int,
     lo: int,
+    hi: int,
     p2: int,
     cutoff: int | None,
 ) -> tuple[PartitionAnalysis, np.ndarray, FailureNote | None]:
-    """Walk a window's closing phase: the columns of tm against the driver.
+    """Walk window [lo, hi) forward in time, the columns of tm and the driver.
 
-    Closing-phase time s (1-based) owns block lo + p2 - s.  Every time is a
-    shared step, except marked times before the cutoff, where every column
-    attempts the fraction coupling against the driver in one call of
-    ``_subset_couple_columns``; a failed relation draws its remainder
-    uniform from the block (``aux_uniform``, read at most once per time).
-    cutoff=None is the tracked run: it attempts at every marked time and
-    returns at the first attempt with a failed column, with the note of the
-    first such column, because nothing after it is read.  A recorded cutoff
-    is the replay: its column commits every outcome and the walk runs to
-    the end.
+    The driver starts at the barycenter.  The opening phase, blocks
+    [lo + p2, hi) in time order, applies every draw as a shared step to
+    the columns and the driver.  In the closing phase, time s (1-based)
+    owns block lo + p2 - s.  Every time is a shared step, except marked
+    times before the cutoff, where every column attempts the fraction
+    coupling against the driver in one call of ``_subset_couple_columns``;
+    a failed relation draws its remainder uniform from the block
+    (``aux_uniform``, read at most once per time).  cutoff=None is the
+    tracked run: it attempts at every marked time and returns at the first
+    attempt with a failed column, with the note of the first such column,
+    because nothing after it is read.  A recorded cutoff is the replay: its
+    column commits every outcome and the walk runs to the end.  With
+    hi = lo + p2 the opening phase is empty and the walk starts the closing
+    phase from the given columns.
 
-    Returns the schedule's analysis, the driver state and the failure note.
-    After a tracked failure, the driver and tm stand as they were before
-    the failed attempt.
+    tm is stepped in place.  Returns the schedule's analysis, the driver
+    state and the failure note.  After a tracked failure, the driver and tm
+    stand as they were before the failed attempt.
     """
+    n = tm.n
+    center = np.array(SimplexPoint.center(n).values)
+    for _b, row in iter_blocks_backward(master, replica, lo + p2, hi):
+        i, j = pair_from_word(float(row[0]), n)
+        lam = float(row[1])
+        tm.shared_step(i, j, lam)
+        _apply_step(center, i - 1, j - 1, lam)
+
     rows = read_blocks(master, replica, lo, lo + p2)[::-1]
-    pairs = [pair_from_word(float(row[0]), tm.n) for row in rows]
-    analysis = analyze_schedule(EdgeSchedule(tm.n, tuple(pairs)))
+    pairs = [pair_from_word(float(row[0]), n) for row in rows]
+    analysis = analyze_schedule(EdgeSchedule(n, tuple(pairs)))
     last = p2 if cutoff is None else cutoff - 1
     for s, ((i, j), row) in enumerate(zip(pairs, rows), start=1):
         u = float(row[1])
@@ -292,15 +302,7 @@ def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
     """Run window k's tracked chains and report whether it certified."""
     lo, hi, p1, p2 = window_geometry(n, k)
     tm = TransitionMatrix.identity(n)
-    center = np.array(SimplexPoint.center(n).values)
-
-    for _b, row in iter_blocks_backward(master, replica, lo + p2, hi):
-        i, j = pair_from_word(float(row[0]), n)
-        lam = float(row[1])
-        tm.shared_step(i, j, lam)
-        _apply_step(center, i - 1, j - 1, lam)
-
-    analysis, center, failure = _closing_walk(tm, center, master, replica, lo, p2, None)
+    analysis, center, failure = _walk_window(tm, master, replica, lo, hi, p2, None)
     coalesced = analysis.connected and failure is None
     final: SimplexPoint | None = None
     if coalesced:
@@ -322,7 +324,8 @@ def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
 def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> SimplexPoint:
     """Push a point forward through one examined window's map.
 
-    The replayed chain faces the same per-step draws the tracked run saw:
+    The replayed chain is carried as a one-column TransitionMatrix through
+    the same walk as the tracked run, so it faces the same per-step draws:
     shared steps everywhere except marked closing-phase times before the
     window's cutoff, where it attempts the coupling against the re-derived
     driver with its own slope and intercept and, on failure, draws its
@@ -337,23 +340,12 @@ def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> Simplex
     replay still ends on the recorded collided point is checked by the
     tests on a grid of windows and inputs, not proven.
     """
-    n = record.n
-    master, replica = record.master, record.replica
-    if value.n != n:
-        raise ValueError(f"point has n={value.n}, window has n={n}")
-    zarr = np.array(value.values)
-    center = np.array(SimplexPoint.center(n).values)
-
-    for _b, row in iter_blocks_backward(master, replica, record.lo + record.p2, record.hi):
-        i, j = pair_from_word(float(row[0]), n)
-        lam = float(row[1])
-        _apply_step(zarr, i - 1, j - 1, lam)
-        _apply_step(center, i - 1, j - 1, lam)
-
-    follower = TransitionMatrix(zarr[:, None])
+    if value.n != record.n:
+        raise ValueError(f"point has n={value.n}, window has n={record.n}")
+    follower = TransitionMatrix(np.array(value.values[:, None]))
     cutoff = record.p2 + 1 if record.cutoff is None else record.cutoff
-    analysis, _, _ = _closing_walk(
-        follower, center, master, replica, record.lo, record.p2, cutoff
+    analysis, _, _ = _walk_window(
+        follower, record.master, record.replica, record.lo, record.hi, record.p2, cutoff
     )
     if analysis.connected != record.connected or analysis.marked != record.marked:
         raise RuntimeError("replayed schedule disagrees with the recorded window")

@@ -32,25 +32,28 @@ import numpy as np
 SUM_TOL = 1e-9
 
 
-def exact_split(lam: float, s: float) -> tuple[float, float]:
+def exact_split(lam: float, s: float | np.ndarray) -> tuple:
     """Split s into (a, b) with a close to lam * s and a + b == s exactly.
 
     Sterbenz lemma: if doubles u, v satisfy v / 2 <= u <= v then v - u is
-    computed without rounding.  The branch below arranges every subtraction
-    to sit in that regime, so the two returned doubles sum to s with zero
-    error as real numbers, not merely to the last bit.
+    computed without rounding.  With p = fl(lam * s) and b = fl(s - p):
+      - if p >= s / 2, then s - p is exact, so b = s - p <= s / 2 and
+        s - b = p is exact too: the split is (p, s - p);
+      - if p < s / 2, then b lies in [s / 2, s], so s - b is exact.
+    Either way a = s - b and b sum to s with zero error as real numbers,
+    not merely to the last bit, and no branch is needed.  Being branch
+    free, the same two lines split Python floats, numpy scalars and whole
+    arrays entrywise, to the same bits.
 
     Args:
         lam: mixing fraction in [0, 1].
-        s: nonnegative pair sum.
+        s: nonnegative pair sum, a double or an array of them.
 
     Returns:
-        Pair (a, b) of nonnegative doubles with a + b == s exactly.
+        Pair (a, b) of nonnegative doubles (or arrays) with a + b == s
+        exactly.
     """
-    a = lam * s
-    if a >= 0.5 * s:
-        return a, s - a
-    b = s - a  # rounded once; b lies in [s/2, s], so s - b below is exact
+    b = s - lam * s
     return s - b, b
 
 
@@ -309,10 +312,12 @@ def sample_step_draw(n: int, rng: np.random.Generator, law: LambdaLaw | None = N
 
 
 def _apply_step(arr: np.ndarray | list[float], i0: int, j0: int, lam: float) -> None:
-    """In-place pair update on a raw array or float list, 0-based indices.
+    """In-place pair update of rows i0 and j0 (0-based) with fraction lam.
 
-    Python floats and np.float64 share IEEE double arithmetic, so a list
-    and an array holding the same values are updated to the same bits.
+    arr is a float list, a 1-D array or an (n, C) array of C chains held as
+    columns, each column updated through the exact split entrywise.  Python
+    floats and np.float64 share IEEE double arithmetic, so every shape
+    holding the same values is updated to the same bits.
     """
     s = arr[i0] + arr[j0]
     a, b = exact_split(lam, s)

@@ -58,6 +58,7 @@ CONTRACTION_TOL = 0.02  # relative error allowed on one-step contraction
 COLLECTOR_TOL = 0.03  # relative error allowed on the collector mean
 DECAY_TOL = 0.10  # relative band for the discrete-chain decay rate
 MEAN_SIGMA_MULT = 3.0
+FLOOR_EXPONENT = 2.0  # couple's floor monitor asks for coordinates >= n^-2
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 _COMPARISONS = {
@@ -365,7 +366,7 @@ def run_couple(
         {
             "n": n,
             "C": C,
-            "b": cfg.b,
+            "b": FLOOR_EXPONENT,
             "d": cfg.burn_exponent,
             "e": cfg.closeness_exponent,
             "replicas": cfg.replicas,
@@ -384,7 +385,7 @@ def run_couple(
     sup_after_burn = np.empty(cfg.replicas)
     y_final = np.empty(cfg.replicas)
     sup_target = 2.0 * float(n) ** (-cfg.closeness_exponent)
-    floor_target = float(n) ** (-cfg.b)
+    floor_target = float(n) ** (-FLOOR_EXPONENT)
     rows = []
     records = []
     for r in range(cfg.replicas):

@@ -88,11 +88,6 @@ class SplitRecord:
             return a if len(a) < len(b) else b
         return a if a[0] < b[0] else b
 
-    @property
-    def piece_large(self) -> tuple[int, ...]:
-        s = self.piece_small
-        return self.piece_j if s == self.piece_i else self.piece_i
-
 
 @dataclass(frozen=True)
 class PartitionAnalysis:

@@ -68,17 +68,17 @@ def burn_in_steps(n: int, d: float) -> int:
 class ExperimentConfig:
     """Parameters of a coupled-run experiment.
 
-    C scales the collision stage, ceil(C n ln n) steps.  The exponents b, d
-    and e parameterize the burn-in target and report-only monitors: burn-in
-    runs burn_in_steps(n, d) steps to reach expected squared distance
-    2 n^-d, the closeness monitor asks for sup difference at most 2 n^-e,
-    and the floor monitor for coordinates at least n^-b.  Leaving d or e as
-    None resolves them to the C-scaled defaults 4C and 2C.
+    C scales the collision stage, ceil(C n ln n) steps.  The exponents d
+    and e parameterize the burn-in target and a report-only monitor:
+    burn-in runs burn_in_steps(n, d) steps to reach expected squared
+    distance 2 n^-d, and the closeness monitor asks for sup difference at
+    most 2 n^-e.  Leaving d or e as None resolves them to the C-scaled
+    defaults 4C and 2C.  (The floor monitor's exponent is the fixed
+    ``experiments.FLOOR_EXPONENT``.)
     """
 
     n: int
     C: float = 1.0
-    b: float = 2.0
     d: float | None = None
     e: float | None = None
     replicas: int = 100
@@ -91,7 +91,7 @@ class ExperimentConfig:
             raise ValueError(f"need C > 0, got {self.C!r}")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        for name in ("b", "d", "e"):
+        for name in ("d", "e"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"exponent {name} must be positive, got {v!r}")
@@ -265,24 +265,21 @@ def full_coupling_run(
     n: int,
     C: float,
     rng: np.random.Generator,
-    x0: SimplexPoint | None = None,
-    y0: SimplexPoint | None = None,
     burn: int | None = None,
     z_out: list[float] | None = None,
 ) -> FullRunResult:
     """Burn in proportionally, then run the collision stage.
 
-    x0 defaults to the first vertex (the worst natural start), y0 to an
-    exact stationary draw, so a collision transfers stationarity to the x
-    chain.  Draw order: burn-in step draws, then the whole stage schedule,
-    then the stage fraction draws.  burn overrides the default
+    The x chain starts at the first vertex (the worst natural start), the
+    y chain at an exact stationary draw taken first from rng, so a
+    collision transfers stationarity to the x chain.  Draw order: the
+    stationary start, the burn-in step draws, then the whole stage
+    schedule, then the stage fraction draws.  burn overrides the default
     ceil(6 C n ln n) burn-in length; z_out, if a list, receives the squared
     distance at every step, starting with the initial value.
     """
-    if x0 is None:
-        x0 = SimplexPoint.vertex(n, 1)
-    if y0 is None:
-        y0 = sample_uniform_simplex(n, rng)
+    x0 = SimplexPoint.vertex(n, 1)
+    y0 = sample_uniform_simplex(n, rng)
     if burn is None:
         burn = burn_in_steps(n, 4.0 * C)
     elif burn < 0:

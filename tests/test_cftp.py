@@ -19,7 +19,7 @@ from simplex_gibbs.cftp import (
     BudgetExhaustedError,
     CftpResult,
     TransitionMatrix,
-    _closing_walk,
+    _walk_window,
     cftp_sample,
     evolve_matrix,
     phase1_steps,
@@ -38,6 +38,7 @@ from simplex_gibbs.streams import (
 )
 
 from conftest import ALPHA, coordinate_cdf
+from test_chain import _branchy_split
 
 
 def _spread(tm):
@@ -148,6 +149,21 @@ def test_matrix_columns_are_vertex_chains_bitwise(rng):
             chain = step(chain, d)
         assert np.array_equal(tm.mat[:, v - 1], chain.values)
     assert np.all(np.abs(_column_sums(tm) - 1.0) < 1e-12)
+
+
+def test_shared_step_matches_scalar_splits_per_column(rng):
+    # every entry of rows i and j is the oracle split of its column's pair
+    # sum, bit for bit, including zero pair sums of the identity's columns
+    tm = TransitionMatrix.identity(16)
+    ref = tm.mat.T.tolist()
+    lams = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324]
+    for t in range(400):
+        d = sample_step_draw(16, rng)
+        lam = lams[t] if t < len(lams) else d.lam
+        tm.shared_step(d.i, d.j, lam)
+        for col in ref:
+            col[d.i - 1], col[d.j - 1] = _branchy_split(lam, col[d.i - 1] + col[d.j - 1])
+        assert tm.mat.tobytes() == np.array(ref).T.tobytes()
 
 
 def test_matrix_apply_tracks_direct_chains(rng):
@@ -279,12 +295,15 @@ def test_n2_windows_always_certify():
 # --------------------------------------------------------- failure notes
 
 def _tracked_note(cols, master, replica):
-    """Tracked closing walk of window 1 from the given columns; its note."""
+    """Tracked closing phase of window 1 from the given columns; its note.
+
+    hi = lo + p2 leaves the opening phase empty, so the walk starts its
+    closing phase from cols against the barycenter driver.
+    """
     n = cols.shape[0]
     lo, _hi, _p1, p2 = window_geometry(n, 1)
-    center = np.array(SimplexPoint.center(n).values)
-    _, _, note = _closing_walk(TransitionMatrix(np.array(cols, dtype=float)), center,
-                               master, replica, lo, p2, None)
+    _, _, note = _walk_window(TransitionMatrix(np.array(cols, dtype=float)),
+                              master, replica, lo, lo + p2, p2, None)
     return note
 
 

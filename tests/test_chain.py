@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -61,6 +62,62 @@ def test_exact_split_endpoints():
     assert exact_split(0.0, 0.75) == (0.0, 0.75)
     assert exact_split(1.0, 0.75) == (0.75, 0.0)
     assert exact_split(0.5, 0.0) == (0.0, 0.0)
+
+
+def _branchy_split(lam, s):
+    """The split as first written, with a branch: the bitwise oracle."""
+    a = lam * s
+    if a >= 0.5 * s:
+        return a, s - a
+    b = s - a
+    return s - b, b
+
+
+def _split_grid():
+    """Edge-case fractions and pair sums, plus random ones of both."""
+    rng = np.random.default_rng(20)
+    lams = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324]
+    lams += rng.random(40).tolist()
+    tiny = sys.float_info.min
+    sums = [0.0, 5e-324, 3e-320, math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0),
+            1.0, 2.0, 1e300]
+    sums += rng.random(30).tolist() + (2.0 ** rng.uniform(-1070.0, 1000.0, 30)).tolist()
+    return lams, sums
+
+
+def test_exact_split_matches_branchy_oracle_bitwise():
+    lams, sums = _split_grid()
+    for lam in lams:
+        for s in sums:
+            got, want = exact_split(lam, s), _branchy_split(lam, s)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (lam, s)
+        # one call on an array of sums splits every entry to the same bits
+        got = np.array(exact_split(lam, np.array(sums)))
+        want = np.array([_branchy_split(lam, s) for s in sums]).T
+        assert got.tobytes() == want.tobytes(), lam
+
+
+@pytest.mark.parametrize("shape", ["list", "vector", "columns"])
+def test_apply_step_matches_scalar_splits_in_every_shape(shape):
+    # columns: vertices (zero pair sums), a subnormal-heavy point, random
+    # points; every shape must step each chain to the oracle's bits
+    rng = np.random.default_rng(7)
+    n = 6
+    cols = np.concatenate(
+        [np.eye(n)[:, :2], np.array([[1.0 - 4e-310, 1e-310, 1e-310, 1e-310, 1e-310, 0.0]]).T,
+         rng.dirichlet(np.ones(n), size=5).T], axis=1,
+    )
+    lams = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324]
+    ref = cols.T.tolist()
+    held = {"list": ref[3][:], "vector": cols[:, 3].copy(), "columns": cols.copy()}[shape]
+    for t in range(300):
+        i0, j0 = (int(v) for v in rng.choice(n, 2, replace=False))
+        lam = lams[t] if t < len(lams) else float(rng.random())
+        for col in ref:
+            col[i0], col[j0] = _branchy_split(lam, col[i0] + col[j0])
+        chain._apply_step(held, i0, j0, lam)
+        want = np.array(ref).T if shape == "columns" else np.array(ref[3])
+        assert np.asarray(held, dtype=np.float64).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- SimplexPoint
