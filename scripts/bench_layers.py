@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer timings of the perfect sampler and the collision stage, as min-of-k.
 
-    python scripts/bench_layers.py --src SRC_DIR --label LABEL --out BENCH.json
+    python scripts/bench_layers.py --src SRC_DIR --label LABEL --out BENCH.json [--layers NAME ...]
 
 Imports ``simplex_gibbs`` from SRC_DIR, so one copy of this script can time
 clean exports of two commits with identical code and settings.  Each layer
@@ -9,13 +9,20 @@ is timed REPEATS times; one repeat runs a fixed batch of calls and
 reports seconds per call.  A row keeps the minimum (the least disturbed
 repeat), the median and the quartiles of the repeats.  Rows are merged into
 the output file under their label, replacing older rows of that label, and
-the file records the machine facts of the last run.
+the file records the machine facts of the last run.  ``--layers`` times
+only the named layers.
 
 Layers, all at n = 16, the attempts and windows on window 1 of master 5:
   - ``exact_split``: one scalar pair split, over a fixed set of 1000
     fractions and pair sums;
   - ``shared_step``: one shared step of all n columns of a
     ``TransitionMatrix``, over the first 1000 draws of window 1;
+  - ``decode``: reading and decoding window 1 of replica 0 into pairs,
+    fractions and coins, phase by phase as the commit's walk reads it:
+    chunk by chunk through ``streams._draws_backward`` where it exists,
+    else row by row with ``pair_from_word`` and ``float``;
+  - ``schedule_sample``: one ``EdgeSchedule.sample(1024, 7098)``, the
+    connectivity driver's draw at n = 1024, epsilon = 0.5;
   - ``marked_attempt_kernel``: one marked-time attempt of all n vertex
     columns against the driver with ``couplings._subset_couple_columns``
     (absent before that kernel existed), called with the signature of the
@@ -122,6 +129,21 @@ def layers() -> dict:
              for row in streams.read_blocks(MASTER, 0, 0, 1000)]
     tm = cftp.TransitionMatrix.identity(N)
     out["shared_step"] = (len(draws), lambda: [tm.shared_step(i, j, lam) for i, j, lam in draws])
+    lo, hi, _p1, p2 = cftp.window_geometry(N, 1)
+    phases = ((lo + p2, hi), (lo, lo + p2))
+    chunked = getattr(streams, "_draws_backward", None)
+    if chunked is not None:
+        def decode():
+            return [list(chunked(MASTER, 0, a, b, N)) for a, b in phases]
+    else:
+        def decode():
+            return [[(streams.pair_from_word(float(row[0]), N), float(row[1]), float(row[2]))
+                     for row in streams.read_blocks(MASTER, 0, a, b)[::-1]] for a, b in phases]
+    out["decode"] = (20, lambda: [decode() for _ in range(20)])
+    partitions = importlib.import_module("simplex_gibbs.partitions")
+    out["schedule_sample"] = (20, lambda: [
+        partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(r)) for r in range(20)
+    ])
     scalar = getattr(couplings, "subset_couple_step", None)
     if scalar is not None:
         def scalar_attempt(columns):
@@ -185,11 +207,17 @@ def main(argv=None) -> int:
     ap.add_argument("--src", required=True, help="source directory holding simplex_gibbs")
     ap.add_argument("--label", required=True, help="row label, e.g. parent or change")
     ap.add_argument("--out", type=Path, help="JSON file to merge the rows into")
+    ap.add_argument("--layers", nargs="+", help="time only these layers")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    timed = layers()
+    unknown = set(args.layers or ()) - set(timed)
+    if unknown:
+        ap.error(f"unknown layers: {sorted(unknown)}")
     rows = [
         {"label": args.label, "layer": name, **time_layer(calls, fn)}
-        for name, (calls, fn) in layers().items()
+        for name, (calls, fn) in timed.items()
+        if args.layers is None or name in args.layers
     ]
     for r in rows:
         print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * 1e6:10.3f} us"

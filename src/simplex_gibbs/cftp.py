@@ -19,12 +19,15 @@ assumed.  The collided point is pushed forward through the already-examined
 One walk, ``_walk_window``, runs every window, tracked or replayed.  The
 tracked run carries the n vertex chains as the columns of a
 :class:`TransitionMatrix`; a replay carries its one chain as a one-column
-matrix.  Both take every shared step through ``TransitionMatrix.shared_step``
-and every marked-time attempt through one call of
-``couplings._subset_couple_columns``.  The tracked run attempts all n
-columns at once and notes why the first failing column failed; a replayed
-chain attempts with its own slope and intercept and resolves its own
-failures from per-block remainder draws.  The map each window applies is
+matrix.  In both the driver rides as the last column of the same matrix,
+so every shared step is one ``TransitionMatrix.shared_step`` for the
+followers and the driver together, and every marked-time attempt is one
+call of ``couplings._subset_couple_columns`` on the follower columns
+against the driver column.  The window's blocks are read and decoded in
+bounded chunks.  The tracked run attempts all n columns at once and notes
+why the first failing column failed; a replayed chain attempts with its
+own slope and intercept and resolves its own failures from per-block
+remainder draws.  The map each window applies is
 thus one fixed function of the stream, no matter when it is replayed.  If
 the budget of window doublings is exhausted without a certificate the
 sampler raises instead of returning a biased point.
@@ -45,7 +48,7 @@ import numpy as np
 from .chain import SimplexPoint, StepDraw, _apply_step
 from .couplings import _subset_couple_columns
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
-from .streams import aux_uniform, iter_blocks_backward, pair_from_word, read_blocks
+from .streams import _draws_backward, aux_uniform
 
 # first-window phase lengths in units of n * ln(n)
 PHASE1_MULT = 12
@@ -100,7 +103,9 @@ class TransitionMatrix:
     ``chain._apply_step`` on the whole matrix, the same exact split as a
     single chain applied entrywise, so each column IS the single-chain
     trajectory of its start, bit for bit.  A replay carries its one
-    replayed chain as a one-column matrix.
+    replayed chain as a one-column matrix.  While a window is walked, the
+    driver rides as one more column, the last, so a shared step moves the
+    followers and the driver in one update.
     """
 
     mat: np.ndarray
@@ -242,60 +247,70 @@ def _walk_window(
 ) -> tuple[PartitionAnalysis, np.ndarray, FailureNote | None]:
     """Walk window [lo, hi) forward in time, the columns of tm and the driver.
 
-    The driver starts at the barycenter.  The opening phase, blocks
-    [lo + p2, hi) in time order, applies every draw as a shared step to
-    the columns and the driver.  In the closing phase, time s (1-based)
-    owns block lo + p2 - s.  Every time is a shared step, except marked
-    times before the cutoff, where every column attempts the fraction
-    coupling against the driver in one call of ``_subset_couple_columns``;
-    a failed relation draws its remainder uniform from the block
-    (``aux_uniform``, read at most once per time).  cutoff=None is the
-    tracked run: it attempts at every marked time and returns at the first
-    attempt with a failed column, with the note of the first such column,
-    because nothing after it is read.  A recorded cutoff is the replay: its
-    column commits every outcome and the walk runs to the end.  With
-    hi = lo + p2 the opening phase is empty and the walk starts the closing
-    phase from the given columns.
+    The driver starts at the barycenter and rides as the last column of one
+    matrix with the C columns of tm, so a shared step is one
+    ``TransitionMatrix.shared_step`` for all C + 1 chains.  The opening
+    phase, blocks [lo + p2, hi) in time order, applies every draw as a
+    shared step.  In the closing phase, time s (1-based) owns block
+    lo + p2 - s.  Every time is a shared step, except marked times before
+    the cutoff, where every column attempts the fraction coupling against
+    the driver column in one call of ``_subset_couple_columns``; a failed
+    relation draws its remainder uniform from the block (``aux_uniform``,
+    read at most once per time).  cutoff=None is the tracked run: it
+    attempts at every marked time and stops at the first attempt with a
+    failed column, with the note of the first such column, because nothing
+    after it is read.  A recorded cutoff is the replay: its column commits
+    every outcome and the walk runs to the end.  With hi = lo + p2 the
+    opening phase is empty and the walk starts the closing phase from the
+    given columns.  Blocks are read and decoded in bounded chunks (see
+    ``streams._draws_backward``); the closing phase's draws are kept for
+    its schedule analysis.
 
     tm is stepped in place.  Returns the schedule's analysis, the driver
-    state and the failure note.  After a tracked failure, the driver and tm
+    state and the failure note.  An attempt's outcome is written back only
+    after the failure check, so after a tracked failure the driver and tm
     stand as they were before the failed attempt.
     """
-    n = tm.n
-    center = np.array(SimplexPoint.center(n).values)
-    for _b, row in iter_blocks_backward(master, replica, lo + p2, hi):
-        i, j = pair_from_word(float(row[0]), n)
-        lam = float(row[1])
-        tm.shared_step(i, j, lam)
-        _apply_step(center, i - 1, j - 1, lam)
+    n, cols = tm.mat.shape
+    walk = TransitionMatrix(np.column_stack((tm.mat, SimplexPoint.center(n).values)))
+    mat, shared_step = walk.mat, walk.shared_step
+    for ii, jj, lams, _coins in _draws_backward(master, replica, lo + p2, hi, n):
+        for i, j, lam in zip(ii, jj, lams):
+            shared_step(i, j, lam)
 
-    rows = read_blocks(master, replica, lo, lo + p2)[::-1]
-    pairs = [pair_from_word(float(row[0]), n) for row in rows]
+    pairs: list[tuple[int, int]] = []
+    us: list[float] = []
+    coins: list[float] = []
+    for ii, jj, lams, cs in _draws_backward(master, replica, lo, lo + p2, n):
+        pairs += zip(ii, jj)
+        us += lams
+        coins += cs
     analysis = analyze_schedule(EdgeSchedule(n, tuple(pairs)))
     last = p2 if cutoff is None else cutoff - 1
-    for s, ((i, j), row) in enumerate(zip(pairs, rows), start=1):
-        u = float(row[1])
+    note = None
+    for s, ((i, j), u) in enumerate(zip(pairs, us), start=1):
         rec = analysis.splits.get(s) if analysis.connected and s <= last else None
         if rec is None:
-            tm.shared_step(i, j, u)
-            _apply_step(center, i - 1, j - 1, u)
+            shared_step(i, j, u)
             continue
         aux = cache(partial(aux_uniform, master, replica, lo + p2 - s))
-        cols, y_next, cpls = _subset_couple_columns(tm.mat, center, rec, u, float(row[2]), aux)
+        xs, y, cpls = _subset_couple_columns(mat[:, :cols], mat[:, cols], rec, u, coins[s - 1], aux)
         if cutoff is None:
             v = next((v for v, c in enumerate(cpls) if not c.success), None)
             if v is not None:
                 c = cpls[v]
                 fin = math.isfinite(c.m) and math.isfinite(c.delta)
-                return analysis, center, FailureNote(
+                note = FailureNote(
                     time=s, column=v + 1, m=c.m, delta=c.delta,
                     lo=max(0.0, min(1.0, c.delta)) if fin else 0.0,
                     hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
                     reason=c.reason,
                 )
-        tm.mat = cols
-        center = y_next
-    return analysis, center, None
+                break
+        mat[:, :cols] = xs
+        mat[:, cols] = y
+    tm.mat = mat[:, :cols].copy()
+    return analysis, mat[:, cols].copy(), note
 
 
 def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
@@ -306,12 +321,12 @@ def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
     coalesced = analysis.connected and failure is None
     final: SimplexPoint | None = None
     if coalesced:
-        for v in range(n):
-            if not np.array_equal(tm.mat[:, v], center):
-                raise RuntimeError(
-                    f"window {k} certificate violated: column {v + 1} "
-                    "differs from the driver after full success"
-                )
+        differs = (tm.mat != center[:, None]).any(axis=0)
+        if differs.any():
+            raise RuntimeError(
+                f"window {k} certificate violated: column {int(differs.argmax()) + 1} "
+                "differs from the driver after full success"
+            )
         final = SimplexPoint(center)
     return EpochRecord(
         n=n, master=master, replica=replica, k=k, lo=lo, hi=hi, p1=p1, p2=p2,

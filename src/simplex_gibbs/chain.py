@@ -293,6 +293,26 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
     return n - 1 - r, n - back + r * (r + 1) // 2
 
 
+def _pairs_at(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pair_at`` over an integer array of pair numbers: (i, j) as int64 arrays.
+
+    The row r comes from a float square root of 8 back + 1.  The root of
+    the rounded perfect square (2r + 1)^2 is exactly 2r + 1, and rounding
+    and the root are monotone, so the float floor is never too low; it can
+    be one row too high when 8 back + 1 rounds up to the next square, and
+    one integer correction makes r exact.  Raises ValueError for an n whose
+    pair numbers would overflow int64 in 8 back + 1, instead of decoding
+    them wrongly.
+    """
+    c = n * (n - 1) // 2
+    if 8 * c - 7 > np.iinfo(np.int64).max:
+        raise ValueError(f"pair numbers of n={n} overflow int64")
+    back = (c - 1) - np.asarray(k, dtype=np.int64)
+    r = ((np.sqrt(8 * back + 1) - 1.0) // 2.0).astype(np.int64)
+    r -= r * (r + 1) // 2 > back
+    return n - 1 - r, n - back + r * (r + 1) // 2
+
+
 def sample_step_draw(n: int, rng: np.random.Generator, law: LambdaLaw | None = None) -> StepDraw:
     """Draw one step's randomness: a uniform unordered pair and a law draw.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from simplex_gibbs.chain import _pair_at, pair_count
+from simplex_gibbs.chain import _pairs_at, pair_count
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class EdgeSchedule:
         """Draw T independent uniform unordered pairs."""
         if T < 0:
             raise ValueError("T must be nonnegative")
-        idx = rng.integers(0, pair_count(n), size=T)
-        return cls(n, tuple(_pair_at(n, k) for k in idx.tolist()))
+        i, j = _pairs_at(n, rng.integers(0, pair_count(n), size=T))
+        return cls(n, tuple(zip(i.tolist(), j.tolist())))
 
     def to_lists(self) -> list[list[int]]:
         """JSON form: [[i, j], ...] in time order."""

@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import _pair_at
+from .chain import _pair_at, _pairs_at
 
 WORDS_PER_STEP = 8
 _ADVANCE_PER_BLOCK = WORDS_PER_STEP // 4  # Philox yields 4 words per counter tick
+
+# blocks read and decoded at a time when a window is walked backward
+_CHUNK_BLOCKS = 1 << 12
 
 # fixed stream tags keep the main and auxiliary keys disjoint
 MAIN_TAG = 101
@@ -62,21 +65,41 @@ def read_blocks(master: int, replica: int, lo: int, hi: int) -> np.ndarray:
     return g.random((hi - lo) * WORDS_PER_STEP).reshape(hi - lo, WORDS_PER_STEP)
 
 
+def _chunks_backward(master: int, replica: int, lo: int, hi: int, chunk: int):
+    """Yield (top, rows) for blocks hi-1 down to lo, at most chunk blocks at a time.
+
+    rows holds blocks top-1 down to top-len(rows), in that order: time order
+    for a window covering blocks [lo, hi).
+    """
+    while hi > lo:
+        bottom = max(lo, hi - chunk)
+        yield hi, read_blocks(master, replica, bottom, hi)[::-1]
+        hi = bottom
+
+
 def iter_blocks_backward(
-    master: int, replica: int, lo: int, hi: int, chunk: int = 1 << 16
+    master: int, replica: int, lo: int, hi: int, chunk: int = _CHUNK_BLOCKS
 ):
     """Yield (block, row) pairs for blocks hi-1 down to lo, reading in chunks.
 
     This is time order for a window covering blocks [lo, hi): the chunking
     keeps memory bounded for very deep windows.
     """
-    top = hi
-    while top > lo:
-        bottom = max(lo, top - chunk)
-        rows = read_blocks(master, replica, bottom, top)
-        for b in range(top - 1, bottom - 1, -1):
-            yield b, rows[b - bottom]
-        top = bottom
+    for top, rows in _chunks_backward(master, replica, lo, hi, chunk):
+        yield from zip(range(top - 1, -1, -1), rows)
+
+
+def _draws_backward(master: int, replica: int, lo: int, hi: int, n: int):
+    """Yield the decoded draws of blocks hi-1 down to lo, one chunk at a time.
+
+    Each chunk of at most ``_CHUNK_BLOCKS`` blocks is read once and decoded
+    once, into four lists in time order: the pairs' i and j (1-based, as
+    ``pair_from_word`` gives them), the fractions (word 1) and the coins
+    (word 2).
+    """
+    for _top, rows in _chunks_backward(master, replica, lo, hi, _CHUNK_BLOCKS):
+        i, j = _pairs_from_words(rows[:, 0], n)
+        yield i.tolist(), j.tolist(), rows[:, 1].tolist(), rows[:, 2].tolist()
 
 
 def aux_uniform(master: int, replica: int, block: int) -> float:
@@ -92,3 +115,9 @@ def pair_from_word(u: float, n: int) -> tuple[int, int]:
     """
     c = n * (n - 1) // 2
     return _pair_at(n, min(c - 1, int(u * c)))
+
+
+def _pairs_from_words(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_from_word`` over an array of words: (i, j) as int64 arrays."""
+    c = n * (n - 1) // 2
+    return _pairs_at(n, np.minimum(c - 1, (u * c).astype(np.int64)))

@@ -1,6 +1,9 @@
 """Backward-window perfect sampler: streams, matrix, windows, output law."""
 
+import dataclasses
+import json
 import math
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from simplex_gibbs import cftp, streams
 from simplex_gibbs.chain import (
     SimplexPoint,
     StepDraw,
+    _apply_step,
     sample_step_draw,
     sample_uniform_simplex,
     step,
@@ -18,6 +23,7 @@ from simplex_gibbs.chain import (
 from simplex_gibbs.cftp import (
     BudgetExhaustedError,
     CftpResult,
+    FailureNote,
     TransitionMatrix,
     _walk_window,
     cftp_sample,
@@ -28,8 +34,11 @@ from simplex_gibbs.cftp import (
     run_epoch,
     window_geometry,
 )
+from simplex_gibbs.couplings import _subset_couple_columns
+from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.streams import (
     WORDS_PER_STEP,
+    _pairs_from_words,
     aux_uniform,
     generator_at_block,
     iter_blocks_backward,
@@ -75,12 +84,18 @@ def test_read_blocks_matches_sequential_doubles():
     assert np.array_equal(read_blocks(7, 3, 5, 8), seq[5:])
 
 
-def test_backward_iteration_is_chunk_invariant():
+def test_backward_iteration_is_chunk_invariant(monkeypatch):
     whole = read_blocks(11, 0, 3, 40)
+    # the decoded draws of each row: pair, fraction and coin
+    draws = [(*pair_from_word(float(whole[b - 3, 0]), 16), float(whole[b - 3, 1]),
+              float(whole[b - 3, 2])) for b in range(39, 2, -1)]
     for chunk in (1, 7, 64):
         got = list(iter_blocks_backward(11, 0, 3, 40, chunk=chunk))
         assert [b for b, _ in got] == list(range(39, 2, -1))
         assert all(np.array_equal(row, whole[b - 3]) for b, row in got)
+        monkeypatch.setattr(streams, "_CHUNK_BLOCKS", chunk)
+        decoded = [d for lists in streams._draws_backward(11, 0, 3, 40, 16) for d in zip(*lists)]
+        assert decoded == draws
 
 
 def test_aux_uniform_is_addressed_by_block():
@@ -102,6 +117,15 @@ def test_pair_from_word_covers_all_pairs():
 def test_pair_from_word_endpoints(n):
     assert pair_from_word(0.0, n) == (1, 2)
     assert pair_from_word(math.nextafter(1.0, 0.0), n) == (n - 1, n)
+    i, j = _pairs_from_words(np.array([0.0, math.nextafter(1.0, 0.0)]), n)
+    assert list(zip(i.tolist(), j.tolist())) == [(1, 2), (n - 1, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 1024])
+def test_array_word_decoder_matches_pair_from_word(n):
+    words = read_blocks(3, 1, 0, 2000)[:, 0]
+    i, j = _pairs_from_words(words, n)
+    assert list(zip(i.tolist(), j.tolist())) == [pair_from_word(u, n) for u in words.tolist()]
 
 
 def test_streams_reject_bad_ranges():
@@ -358,6 +382,149 @@ def test_tracked_run_reports_first_failing_column():
     assert (note.column, note.reason) == (2, "nudge_refused")
 
 
+# ----------------------------------------------------------- walk oracle
+
+def _reference_walk(tm, master, replica, lo, hi, p2, cutoff):
+    """The per-step walk of ``cftp._walk_window``, one block at a time.
+
+    The driver is a separate vector stepped by its own ``_apply_step``, each
+    block is decoded with ``pair_from_word`` and ``float``, and the whole
+    closing phase is read at once.  Same contract and return value as
+    ``_walk_window``.
+    """
+    n = tm.n
+    center = np.array(SimplexPoint.center(n).values)
+    for _b, row in iter_blocks_backward(master, replica, lo + p2, hi):
+        i, j = pair_from_word(float(row[0]), n)
+        lam = float(row[1])
+        tm.shared_step(i, j, lam)
+        _apply_step(center, i - 1, j - 1, lam)
+
+    rows = read_blocks(master, replica, lo, lo + p2)[::-1]
+    pairs = [pair_from_word(float(row[0]), n) for row in rows]
+    analysis = analyze_schedule(EdgeSchedule(n, tuple(pairs)))
+    last = p2 if cutoff is None else cutoff - 1
+    for s, ((i, j), row) in enumerate(zip(pairs, rows), start=1):
+        u = float(row[1])
+        rec = analysis.splits.get(s) if analysis.connected and s <= last else None
+        if rec is None:
+            tm.shared_step(i, j, u)
+            _apply_step(center, i - 1, j - 1, u)
+            continue
+        aux = cache(partial(aux_uniform, master, replica, lo + p2 - s))
+        cols, y_next, cpls = _subset_couple_columns(tm.mat, center, rec, u, float(row[2]), aux)
+        if cutoff is None:
+            v = next((v for v, c in enumerate(cpls) if not c.success), None)
+            if v is not None:
+                c = cpls[v]
+                fin = math.isfinite(c.m) and math.isfinite(c.delta)
+                return analysis, center, FailureNote(
+                    time=s, column=v + 1, m=c.m, delta=c.delta,
+                    lo=max(0.0, min(1.0, c.delta)) if fin else 0.0,
+                    hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
+                    reason=c.reason,
+                )
+        tm.mat = cols
+        center = y_next
+    return analysis, center, None
+
+
+def _note_bits(note):
+    """Every field of a FailureNote, floats as hex so NaN compares equal."""
+    if note is None:
+        return None
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(note))
+
+
+def _walks_agree(cols, master, replica, lo, hi, p2, cutoff):
+    """Run both walks from the same columns, check them bit for bit; the note."""
+    got_tm, want_tm = TransitionMatrix(np.array(cols)), TransitionMatrix(np.array(cols))
+    got = _walk_window(got_tm, master, replica, lo, hi, p2, cutoff)
+    want = _reference_walk(want_tm, master, replica, lo, hi, p2, cutoff)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert _note_bits(got[2]) == _note_bits(want[2])
+    assert got_tm.mat.shape == want_tm.mat.shape
+    assert got_tm.mat.tobytes() == want_tm.mat.tobytes()
+    return got[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+def test_walk_matches_per_step_reference(n):
+    # tracked runs from the identity, then replays of a vertex and a uniform
+    # point at the recorded cutoff and at a forced mid-schedule cutoff
+    rng = np.random.default_rng(n)
+    failures = 0
+    for master in (0, 5):
+        for replica in range(16):
+            for k in (1, 2, 3):
+                lo, hi, _p1, p2 = window_geometry(n, k)
+                note = _walks_agree(np.eye(n), master, replica, lo, hi, p2, None)
+                failures += note is not None
+                recorded = p2 + 1 if note is None else note.time
+                inputs = (np.eye(n)[:, replica % n], sample_uniform_simplex(n, rng).values)
+                for x0 in inputs:
+                    for cutoff in (recorded, p2 // 2 + 1):
+                        _walks_agree(x0[:, None], master, replica, lo, hi, p2, cutoff)
+    if n == 16:
+        assert failures > 0  # the state after a tracked failure is compared too
+
+
+def test_walk_matches_reference_on_forced_failures():
+    # closing phases that start from chosen columns, each failing for its
+    # own reason (see the failure-note tests above)
+    lo, _hi, _p1, p2 = window_geometry(4, 1)
+    for cols in (np.eye(4), np.eye(4)[:, [2]], np.eye(4)[:, [2, 0]]):
+        assert _walks_agree(cols, 5, 4, lo, lo + p2, p2, None) is not None
+    lo, _hi, _p1, p2 = window_geometry(2, 1)
+    refused, oor, center = [0.5, 0.5 + 1e-10], [0.25, 0.25], [0.5, 0.5]
+    for cols in ([refused, oor], [oor, refused], [center, refused, oor]):
+        assert _walks_agree(np.array(cols).T, 5, 1, lo, lo + p2, p2, None) is not None
+
+
+def test_walk_is_chunk_invariant(monkeypatch):
+    # with 7-block chunks, chunk borders fall inside the opening phase, on
+    # the opening/closing border and inside the closing phase
+    windows = [(16, 5, r, k) for r in range(4) for k in (1, 2)] + [(5, 99, 345, 1), (8, 1, 7, 2)]
+
+    def outputs():
+        out = []
+        for n, master, replica, k in windows:
+            rec = run_epoch(n, master, replica, k)
+            starts = (SimplexPoint.vertex(n, 1), sample_uniform_simplex(n, np.random.default_rng(0)))
+            replays = [propagate_through_epoch(z0, rec).values.tobytes() for z0 in starts]
+            out.append((json.dumps(rec.to_json_dict()), _note_bits(rec.failure), replays))
+        return out
+
+    default = outputs()
+    sizes = []
+    read = streams.read_blocks
+
+    def spy(master, replica, lo, hi):
+        sizes.append(hi - lo)
+        return read(master, replica, lo, hi)
+
+    monkeypatch.setattr(streams, "_CHUNK_BLOCKS", 7)
+    monkeypatch.setattr(streams, "read_blocks", spy)
+    assert outputs() == default
+    assert max(sizes) == 7 and min(sizes) < 7
+
+
+def test_certificate_violation_names_first_differing_column(monkeypatch):
+    replica = next(r for r in range(30) if run_epoch(5, 99, r, 1).coalesced)
+    walk = cftp._walk_window
+
+    def perturbed(tm, *args):
+        out = walk(tm, *args)
+        for v in (2, 4):  # columns 3 and 5, 1-based
+            tm.mat[0, v] = math.nextafter(tm.mat[0, v], 1.0)
+        return out
+
+    monkeypatch.setattr(cftp, "_walk_window", perturbed)
+    with pytest.raises(RuntimeError, match=r"window 1 certificate violated: column 3 differs"):
+        run_epoch(5, 99, replica, 1)
+
+
 # ------------------------------------------------------------ propagation
 
 def test_driver_replay_reproduces_certified_point():
@@ -436,8 +603,6 @@ def test_propagation_is_deterministic_and_valid():
 
 
 def test_attemptless_map_equals_matrix_composition():
-    import dataclasses
-
     rec = run_epoch(5, 99, 7, 1)
     assert rec.connected
     # force the replay to treat every closing-phase step as shared: the map
@@ -457,8 +622,6 @@ def test_attemptless_map_equals_matrix_composition():
 
 
 def test_epoch_record_round_trips_to_json():
-    import json
-
     rec = run_epoch(5, 99, 0, 1)
     d = rec.to_json_dict()
     blob = json.loads(json.dumps(d))

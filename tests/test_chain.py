@@ -262,6 +262,9 @@ def test_pair_at_matches_triu_indices():
         got = np.array([chain._pair_at(n, k) for k in range(len(ii))])
         np.testing.assert_array_equal(got[:, 0], ii + 1)
         np.testing.assert_array_equal(got[:, 1], jj + 1)
+        # the array decoder gives _pair_at's pair for every pair number
+        i, j = chain._pairs_at(n, np.arange(len(ii)))
+        assert i.tolist() == got[:, 0].tolist() and j.tolist() == got[:, 1].tolist()
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5])
@@ -271,6 +274,29 @@ def test_pair_at_boundaries_match_row_walk(n):
         assert chain._pair_at(n, k) == _row_walk(n, k)
     assert chain._pair_at(n, n - 2) == (1, n)
     assert chain._pair_at(n, c - 1) == (n - 1, n)
+
+
+# the largest n whose pair numbers the array decoder takes in int64
+_PAIRS_AT_MAX_N = 1_518_500_250
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6, _PAIRS_AT_MAX_N])
+def test_pairs_at_matches_pair_at_at_scale(n):
+    c = n * (n - 1) // 2
+    ks = [0, n - 2, n - 1, c // 2, c - 1]
+    # pair numbers whose count from the end sits on or next to a row start,
+    # where a float square root can put the row one off
+    for r in (1000, 2**20 + 7, 2**29, 2**30 + 3, n - 3, n - 2):
+        if r < n - 1:
+            ks += [c - 1 - back for back in (r * (r + 1) // 2 + d for d in (-1, 0, 1)) if 0 <= back < c]
+    i, j = chain._pairs_at(n, np.array(ks))
+    assert list(zip(i.tolist(), j.tolist())) == [chain._pair_at(n, k) for k in ks]
+
+
+def test_pairs_at_refuses_int64_overflow():
+    n = _PAIRS_AT_MAX_N + 1
+    with pytest.raises(ValueError, match="overflow"):
+        chain._pairs_at(n, np.array([0]))
 
 
 @pytest.mark.parametrize(
