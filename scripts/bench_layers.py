@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer timings of the perfect sampler and the collision stage, as min-of-k.
 
-    python scripts/bench_layers.py --src SRC_DIR --label LABEL --out BENCH.json [--layers NAME ...]
+    python scripts/bench_layers.py --src SRC_DIR --label LABEL --out BENCH.json
 
 Imports ``simplex_gibbs`` from SRC_DIR, so one copy of this script can time
 clean exports of two commits with identical code and settings.  Each layer
@@ -9,8 +9,7 @@ is timed REPEATS times; one repeat runs a fixed batch of calls and
 reports seconds per call.  A row keeps the minimum (the least disturbed
 repeat), the median and the quartiles of the repeats.  Rows are merged into
 the output file under their label, replacing older rows of that label, and
-the file records the machine facts of the last run.  ``--layers`` times
-only the named layers.
+the file records the machine facts of the last run.
 
 Layers, all at n = 16, the attempts and windows on window 1 of master 5:
   - ``exact_split``: one scalar pair split, over a fixed set of 1000
@@ -207,17 +206,11 @@ def main(argv=None) -> int:
     ap.add_argument("--src", required=True, help="source directory holding simplex_gibbs")
     ap.add_argument("--label", required=True, help="row label, e.g. parent or change")
     ap.add_argument("--out", type=Path, help="JSON file to merge the rows into")
-    ap.add_argument("--layers", nargs="+", help="time only these layers")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    timed = layers()
-    unknown = set(args.layers or ()) - set(timed)
-    if unknown:
-        ap.error(f"unknown layers: {sorted(unknown)}")
     rows = [
         {"label": args.label, "layer": name, **time_layer(calls, fn)}
-        for name, (calls, fn) in timed.items()
-        if args.layers is None or name in args.layers
+        for name, (calls, fn) in layers().items()
     ]
     for r in rows:
         print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * 1e6:10.3f} us"

@@ -65,28 +65,21 @@ def read_blocks(master: int, replica: int, lo: int, hi: int) -> np.ndarray:
     return g.random((hi - lo) * WORDS_PER_STEP).reshape(hi - lo, WORDS_PER_STEP)
 
 
-def _chunks_backward(master: int, replica: int, lo: int, hi: int, chunk: int):
-    """Yield (top, rows) for blocks hi-1 down to lo, at most chunk blocks at a time.
-
-    rows holds blocks top-1 down to top-len(rows), in that order: time order
-    for a window covering blocks [lo, hi).
-    """
-    while hi > lo:
-        bottom = max(lo, hi - chunk)
-        yield hi, read_blocks(master, replica, bottom, hi)[::-1]
-        hi = bottom
-
-
 def iter_blocks_backward(
-    master: int, replica: int, lo: int, hi: int, chunk: int = _CHUNK_BLOCKS
+    master: int, replica: int, lo: int, hi: int, chunk: int = 1 << 16
 ):
     """Yield (block, row) pairs for blocks hi-1 down to lo, reading in chunks.
 
     This is time order for a window covering blocks [lo, hi): the chunking
     keeps memory bounded for very deep windows.
     """
-    for top, rows in _chunks_backward(master, replica, lo, hi, chunk):
-        yield from zip(range(top - 1, -1, -1), rows)
+    top = hi
+    while top > lo:
+        bottom = max(lo, top - chunk)
+        rows = read_blocks(master, replica, bottom, top)
+        for b in range(top - 1, bottom - 1, -1):
+            yield b, rows[b - bottom]
+        top = bottom
 
 
 def _draws_backward(master: int, replica: int, lo: int, hi: int, n: int):
@@ -97,9 +90,12 @@ def _draws_backward(master: int, replica: int, lo: int, hi: int, n: int):
     ``pair_from_word`` gives them), the fractions (word 1) and the coins
     (word 2).
     """
-    for _top, rows in _chunks_backward(master, replica, lo, hi, _CHUNK_BLOCKS):
+    while hi > lo:
+        bottom = max(lo, hi - _CHUNK_BLOCKS)
+        rows = read_blocks(master, replica, bottom, hi)[::-1]
         i, j = _pairs_from_words(rows[:, 0], n)
         yield i.tolist(), j.tolist(), rows[:, 1].tolist(), rows[:, 2].tolist()
+        hi = bottom
 
 
 def aux_uniform(master: int, replica: int, block: int) -> float:

@@ -297,6 +297,11 @@ def test_pairs_at_refuses_int64_overflow():
     n = _PAIRS_AT_MAX_N + 1
     with pytest.raises(ValueError, match="overflow"):
         chain._pairs_at(n, np.array([0]))
+    # the schedule sampler decodes through it, so it shares the limit
+    rng = np.random.default_rng(0)
+    assert len(EdgeSchedule.sample(_PAIRS_AT_MAX_N, 3, rng).pairs) == 3
+    with pytest.raises(ValueError, match="overflow"):
+        EdgeSchedule.sample(n, 3, rng)
 
 
 @pytest.mark.parametrize(
