@@ -22,6 +22,12 @@ Layers, all at n = 16, the attempts and windows on window 1 of master 5:
     else row by row with ``pair_from_word`` and ``float``;
   - ``schedule_sample``: one ``EdgeSchedule.sample(1024, 7098)``, the
     connectivity driver's draw at n = 1024, epsilon = 0.5;
+  - ``schedule_analysis_1024``: one ``analyze_schedule`` of that draw
+    (``default_rng(0)``), as the connectivity driver makes it, reading no
+    split record;
+  - ``schedule_analysis_16``: one ``analyze_schedule`` of
+    ``EdgeSchedule.sample(16, 45)``, the collision stage's schedule, with
+    every split record read, averaged over ``default_rng(0..19)``;
   - ``marked_attempt_kernel``: one marked-time attempt of all n vertex
     columns against the driver with ``couplings._subset_couple_columns``
     (absent before that kernel existed), called with the signature of the
@@ -143,6 +149,15 @@ def layers() -> dict:
     out["schedule_sample"] = (20, lambda: [
         partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(r)) for r in range(20)
     ])
+    wide = partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(0))
+    out["schedule_analysis_1024"] = (5, lambda: [partitions.analyze_schedule(wide) for _ in range(5)])
+    stage = [partitions.EdgeSchedule.sample(N, 45, np.random.default_rng(r)) for r in range(20)]
+
+    def read_every_record(schedule):
+        analysis = partitions.analyze_schedule(schedule)
+        return [analysis.splits[s] for s in analysis.marked]
+
+    out["schedule_analysis_16"] = (len(stage), lambda: [read_every_record(s) for s in stage])
     scalar = getattr(couplings, "subset_couple_step", None)
     if scalar is not None:
         def scalar_attempt(columns):

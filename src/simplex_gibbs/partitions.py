@@ -15,10 +15,18 @@ times, with equality iff it is connected.
 The coupled runs in this package attempt a weight-matching coupling exactly
 at the marked times, on the two pieces of the split; everything here is
 pure bookkeeping shared by those runs and by the diagnostics.
+
+``analyze_schedule`` finds the marked times in one backward union-find pass
+of O(T alpha(n) + n) time and O(n) memory, whatever the schedule.  Its
+``splits`` is a read-only mapping whose records are built on first access:
+the record of a marked time with part p(s) costs O(|p(s)| log |p(s)|) when
+it is first read, so a caller that needs only connectivity or the marked
+times pays for no record.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,62 +99,127 @@ class SplitRecord:
 
 @dataclass(frozen=True)
 class PartitionAnalysis:
-    """Marked times and split records for one schedule."""
+    """Marked times and split records for one schedule.
+
+    ``splits`` is a read-only mapping from each marked time, keyed and
+    iterated in ``marked`` order, to its ``SplitRecord``.  A record is built
+    on first access and cached, so a caller that reads only ``marked`` or
+    ``connected`` builds none.  ``splits.get(s)`` and ``s in splits`` answer
+    for an unmarked s without building or raising.
+    """
 
     schedule: EdgeSchedule
     marked: tuple[int, ...]
-    splits: dict[int, SplitRecord]
+    splits: Mapping[int, SplitRecord]
 
     @property
     def connected(self) -> bool:
         return len(self.marked) == self.schedule.n - 1
 
 
-class _UnionFind:
-    """Union-find over 1..n with explicit member lists."""
+class _LazySplits(Mapping[int, SplitRecord]):
+    """The split records of one backward pass, each built on first access.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n + 1))
-        self.members = {k: [k] for k in range(1, n + 1)}
+    ``rows`` maps each marked time, in increasing order, to
+    (i, j, root_i, size_i, root_j, size_j): the roots and sizes of the
+    endpoints' components just before the pass joined them.  ``succ`` maps
+    each coordinate to the next member of its chain (0 ends a chain); every
+    component the pass formed is the run of its size that starts at its
+    root.  ``parent`` marks the final roots, where the chains start.
+    """
 
-    def find(self, k: int) -> int:
-        while self.parent[k] != k:
-            self.parent[k] = self.parent[self.parent[k]]
-            k = self.parent[k]
-        return k
+    __slots__ = ("_rows", "_parent", "_succ", "_order", "_pos", "_built")
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if len(self.members[ra]) < len(self.members[rb]):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.members[ra].extend(self.members.pop(rb))
+    def __init__(self, rows: dict[int, tuple[int, int, int, int, int, int]],
+                 parent: list[int], succ: list[int]) -> None:
+        self._rows, self._parent, self._succ = rows, parent, succ
+        self._order: list[int] | None = None
+        self._pos: list[int] = []
+        self._built: dict[int, SplitRecord] = {}
+
+    def _lay_out(self) -> None:
+        """Concatenate the final chains into one order and index it."""
+        parent, succ = self._parent, self._succ
+        order, pos = [], [0] * len(succ)
+        for r in range(1, len(succ)):
+            if parent[r] != r:
+                continue
+            k = r
+            while k:
+                pos[k] = len(order)
+                order.append(k)
+                k = succ[k]
+        self._order, self._pos = order, pos
+
+    def __getitem__(self, s: int) -> SplitRecord:
+        rec = self._built.get(s)
+        if rec is None:
+            i, j, ri, ni, rj, nj = self._rows[s]
+            if self._order is None:
+                self._lay_out()
+            order, pos = self._order, self._pos
+            piece_i = tuple(sorted(order[pos[ri]:pos[ri] + ni]))
+            piece_j = tuple(sorted(order[pos[rj]:pos[rj] + nj]))
+            part = tuple(sorted(piece_i + piece_j))
+            rec = self._built[s] = SplitRecord(s, i, j, part, piece_i, piece_j)
+        return rec
+
+    def get(self, s: int, default: SplitRecord | None = None) -> SplitRecord | None:
+        return self[s] if s in self._rows else default
+
+    def __contains__(self, s: object) -> bool:
+        return s in self._rows
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 def analyze_schedule(schedule: EdgeSchedule) -> PartitionAnalysis:
-    """Walk the schedule backward and record every marked time's split.
+    """Walk the schedule backward and note every marked time's split.
 
-    At time s (processed from T down to 1) the components accumulated so far
-    are exactly the parts of P(s); edge s is marked iff its endpoints lie in
+    At time s (processed from T down to 1) the components joined so far are
+    exactly the parts of P(s); edge s is marked iff its endpoints lie in
     different parts, and the part they form together is p(s) in P(s-1).
+    The components form a union-find forest (union by size, path halving).
+    A join appends the smaller component's member chain to the larger one's,
+    so a chain only grows at its end, and every component ever formed stays
+    a run of the final chains, starting at its root.  A marked time is
+    therefore noted in O(1) as its endpoints' roots and component sizes.
     """
-    uf = _UnionFind(schedule.n)
-    marked: list[int] = []
-    splits: dict[int, SplitRecord] = {}
+    n, pairs = schedule.n, schedule.pairs
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+    tail = list(range(n + 1))
+    succ = [0] * (n + 1)
+    times: list[int] = []
+    rows: list[tuple[int, int, int, int, int, int]] = []
     for s in range(schedule.T, 0, -1):
-        i, j = schedule.pairs[s - 1]
-        ri, rj = uf.find(i), uf.find(j)
+        i, j = pairs[s - 1]
+        ri, rj = i, j
+        while parent[ri] != ri:
+            parent[ri] = parent[parent[ri]]
+            ri = parent[ri]
+        while parent[rj] != rj:
+            parent[rj] = parent[parent[rj]]
+            rj = parent[rj]
         if ri == rj:
             continue
-        piece_i = tuple(sorted(uf.members[ri]))
-        piece_j = tuple(sorted(uf.members[rj]))
-        part = tuple(sorted(piece_i + piece_j))
-        splits[s] = SplitRecord(time=s, i=i, j=j, part=part, piece_i=piece_i, piece_j=piece_j)
-        marked.append(s)
-        uf.union(i, j)
-    return PartitionAnalysis(schedule=schedule, marked=tuple(sorted(marked)), splits=splits)
+        si, sj = size[ri], size[rj]
+        times.append(s)
+        rows.append((i, j, ri, si, rj, sj))
+        if si < sj:
+            ri, rj = rj, ri
+        parent[rj] = ri
+        size[ri] = si + sj
+        succ[tail[ri]] = rj
+        tail[ri] = tail[rj]
+    times.reverse()
+    rows.reverse()
+    splits = _LazySplits(dict(zip(times, rows)), parent, succ)
+    return PartitionAnalysis(schedule=schedule, marked=tuple(times), splits=splits)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as hst
 
 from simplex_gibbs.partitions import (
     EdgeSchedule,
+    PartitionAnalysis,
+    SplitRecord,
     analyze_schedule,
     product_bound_check,
 )
@@ -71,6 +74,48 @@ def _all_pairs(n):
     return list(itertools.combinations(range(1, n + 1), 2))
 
 
+def _analyze_eager(schedule):
+    """The eager backward pass: every record's sorted pieces built in the pass.
+
+    Union-find with one explicit member list per root; at each marked time
+    both pieces and their union are copied and sorted.  O(n^2) work, kept as
+    the oracle for the lazy ``analyze_schedule``.
+    """
+    parent = list(range(schedule.n + 1))
+    members = {k: [k] for k in range(1, schedule.n + 1)}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    marked, splits = [], {}
+    for s in range(schedule.T, 0, -1):
+        i, j = schedule.pairs[s - 1]
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        piece_i = tuple(sorted(members[ri]))
+        piece_j = tuple(sorted(members[rj]))
+        part = tuple(sorted(piece_i + piece_j))
+        splits[s] = SplitRecord(time=s, i=i, j=j, part=part, piece_i=piece_i, piece_j=piece_j)
+        marked.append(s)
+        if len(members[ri]) < len(members[rj]):
+            ri, rj = rj, ri
+        parent[rj] = ri
+        members[ri].extend(members.pop(rj))
+    return PartitionAnalysis(schedule=schedule, marked=tuple(sorted(marked)), splits=splits)
+
+
+def _oracle_grid():
+    """Schedules at n in {2, 3, 16, 64, 1024}, T in {0, 1, n, ceil(2 n ln n)}, 20 seeds."""
+    for n in (2, 3, 16, 64, 1024):
+        for T in sorted({0, 1, n, math.ceil(2 * n * math.log(n))}):
+            for seed in range(20):
+                yield EdgeSchedule.sample(n, T, np.random.default_rng([n, T, seed]))
+
+
 # ------------------------------------------------------------- exhaustive
 
 
@@ -90,6 +135,58 @@ def test_analysis_matches_reference_exhaustively(n, maxT):
                 assert tuple(sorted(rec.piece_i + rec.piece_j)) == rec.part
             # connectivity agrees with the t = 0 component count
             assert ana.connected == (len(_components(n, list(combo))) == 1), combo
+
+
+# ------------------------------------------------------------- eager oracle
+
+
+def test_lazy_analysis_matches_eager_oracle():
+    kinds = {"connected": 0, "disconnected": 0, "repeated_edge": 0}
+    for sched in _oracle_grid():
+        ana, oracle = analyze_schedule(sched), _analyze_eager(sched)
+        assert ana.marked == oracle.marked
+        assert ana.connected == oracle.connected
+        for s in oracle.marked:
+            assert ana.splits[s] == oracle.splits[s], (sched.n, sched.T, s)
+        assert set(ana.splits) == set(oracle.splits)
+        kinds["connected" if ana.connected else "disconnected"] += 1
+        kinds["repeated_edge"] += len(set(sched.pairs)) < sched.T
+    # the grid reaches both outcomes and schedules that repeat an edge
+    assert all(kinds.values()), kinds
+
+
+def test_splits_is_a_read_only_mapping_built_on_access():
+    for sched in (sch for sch in _oracle_grid() if sch.n <= 64):
+        ana = analyze_schedule(sched)
+        splits = ana.splits
+        assert list(splits) == list(ana.marked)
+        assert len(splits) == len(ana.marked)
+        for s in set(range(sched.T + 2)) - set(ana.marked):
+            assert splits.get(s) is None
+            assert s not in splits
+            with pytest.raises(KeyError):
+                splits[s]
+        for s in ana.marked:
+            assert s in splits
+            assert splits[s] is splits[s] is splits.get(s)
+        if ana.marked:
+            with pytest.raises(TypeError):
+                splits[ana.marked[0]] = None
+
+
+def test_analysis_memory_stays_linear_at_n4096():
+    n = 4096
+    sched = EdgeSchedule.sample(n, math.ceil(n * math.log(n)), np.random.default_rng(4096))
+    tracemalloc.start()
+    try:
+        ana = analyze_schedule(sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the eager pass peaked near 66 MB on this schedule size, sorting copies
+    # of both pieces and their union at every marked time
+    assert peak < 8 * 2**20, peak
+    assert len(ana.marked) <= n - 1
 
 
 # ------------------------------------------------------------- frozen
