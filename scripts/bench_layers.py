@@ -149,8 +149,8 @@ def layers() -> dict:
     out["schedule_sample"] = (20, lambda: [
         partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(r)) for r in range(20)
     ])
-    wide = partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(0))
-    out["schedule_analysis_1024"] = (5, lambda: [partitions.analyze_schedule(wide) for _ in range(5)])
+    drawn = partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(0))
+    out["schedule_analysis_1024"] = (5, lambda: [partitions.analyze_schedule(drawn) for _ in range(5)])
     stage = [partitions.EdgeSchedule.sample(N, 45, np.random.default_rng(r)) for r in range(20)]
 
     def read_every_record(schedule):
