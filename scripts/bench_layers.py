@@ -44,6 +44,13 @@ Layers, all at n = 16, the attempts and windows on window 1 of master 5:
   - ``run_epoch``: one tracked window, averaged over replicas 0..7;
   - ``propagate_through_epoch``: one replay of a point through a window;
   - ``cftp_sample``: one exact sample, averaged over replicas 0..7;
+  - ``cftp_sample_32`` and ``cftp_sample_64``: the same at n = 32 and
+    n = 64;
+  - ``run_cftp``: one ``run_cftp(16, 20, seed)``, the cftp-n16 benchmark
+    chunk, averaged over the chunk seeds 10^6 .. 10^6 + 2;
+  - ``run_cftp_marked_share``: the share of those ``run_cftp`` calls' wall
+    time spent in marked-time attempts (``_subset_couple_columns`` as
+    ``cftp`` calls it), one share per repeat, unit "share";
   - ``full_coupling_run``: one burn-in plus collision stage at C = 1,
     averaged over the generators ``default_rng(0..7)``.
 Run it single-threaded on an otherwise idle machine, one label at a time.
@@ -66,6 +73,9 @@ N = 16
 MASTER = 5
 REPLICAS = range(8)
 REPEATS = 9
+# the first three chunk seeds of cftp-n16's benchmark seed 1, 20 samples each
+CHUNK_SEEDS = (1_000_000, 1_000_001, 1_000_002)
+CHUNK_SAMPLES = 20
 
 
 def machine_facts() -> dict:
@@ -191,10 +201,37 @@ def layers() -> dict:
         10, lambda: [cftp.propagate_through_epoch(point, certified) for _ in range(10)]
     )
     out["cftp_sample"] = (len(REPLICAS), lambda: [cftp.cftp_sample(N, MASTER, r) for r in REPLICAS])
+    for n in (32, 64):
+        out[f"cftp_sample_{n}"] = (
+            len(REPLICAS), lambda n=n: [cftp.cftp_sample(n, MASTER, r) for r in REPLICAS]
+        )
+    experiments = importlib.import_module("simplex_gibbs.experiments")
+    out["run_cftp"] = (len(CHUNK_SEEDS), run_cftp_chunks(experiments))
     out["full_coupling_run"] = (len(REPLICAS), lambda: [
         two_stage.full_coupling_run(N, 1.0, np.random.default_rng(r)) for r in REPLICAS
     ])
     return out
+
+
+def run_cftp_chunks(experiments):
+    def run():
+        for seed in CHUNK_SEEDS:
+            experiments.run_cftp(N, CHUNK_SAMPLES, seed)
+
+    return run
+
+
+def summarize(values: list[float], unit: str, calls: int) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return {
+        "unit": unit,
+        "calls_per_repeat": calls,
+        "repeats": REPEATS,
+        "min": min(values),
+        "median": statistics.median(values),
+        "quartiles": [q1, q2, q3],
+        "max": max(values),
+    }
 
 
 def time_layer(calls: int, fn) -> dict:
@@ -204,16 +241,35 @@ def time_layer(calls: int, fn) -> dict:
         t0 = time.perf_counter()
         fn()
         per_call.append((time.perf_counter() - t0) / calls)
-    q1, q2, q3 = statistics.quantiles(per_call, n=4)
-    return {
-        "unit": "s/call",
-        "calls_per_repeat": calls,
-        "repeats": REPEATS,
-        "min": min(per_call),
-        "median": statistics.median(per_call),
-        "quartiles": [q1, q2, q3],
-        "max": max(per_call),
-    }
+    return summarize(per_call, "s/call", calls)
+
+
+def marked_share() -> dict:
+    """Share of the ``run_cftp`` row's wall time spent in marked-time attempts."""
+    cftp = importlib.import_module("simplex_gibbs.cftp")
+    run = run_cftp_chunks(importlib.import_module("simplex_gibbs.experiments"))
+    kernel = cftp._subset_couple_columns
+    spent = [0.0]
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return kernel(*args)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    cftp._subset_couple_columns = timed
+    try:
+        run()
+        shares = []
+        for _ in range(REPEATS):
+            spent[0] = 0.0
+            t0 = time.perf_counter()
+            run()
+            shares.append(spent[0] / (time.perf_counter() - t0))
+    finally:
+        cftp._subset_couple_columns = kernel
+    return summarize(shares, "share", len(CHUNK_SEEDS))
 
 
 def main(argv=None) -> int:
@@ -227,9 +283,11 @@ def main(argv=None) -> int:
         {"label": args.label, "layer": name, **time_layer(calls, fn)}
         for name, (calls, fn) in layers().items()
     ]
+    rows.append({"label": args.label, "layer": "run_cftp_marked_share", **marked_share()})
     for r in rows:
-        print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * 1e6:10.3f} us"
-              f"  median {r['median'] * 1e6:10.3f} us")
+        scale, unit = (1e6, "us") if r["unit"] == "s/call" else (1.0, "")
+        print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * scale:10.3f} {unit:2}"
+              f"  median {r['median'] * scale:10.3f} {unit}")
     if args.out is not None:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         kept = [r for r in doc.get("rows", []) if r["label"] != args.label]

@@ -16,8 +16,8 @@ forces all n + 1 chains into bitwise collision, which is checked, not
 assumed.  The collided point is pushed forward through the already-examined
 (nearer) windows by replaying their per-step maps.
 
-One walk, ``_walk_window``, runs every window, tracked or replayed.  The
-tracked run carries the n vertex chains as the columns of a
+One walk, ``_walk_window``, runs every window of ``cftp_sample``, tracked
+or replayed.  The tracked run carries the n vertex chains as the columns of a
 :class:`TransitionMatrix`; a replay carries its one chain as a one-column
 matrix.  In both the driver rides as the last column of the same matrix,
 so every shared step is one ``TransitionMatrix.shared_step`` for the
@@ -32,6 +32,16 @@ thus one fixed function of the stream, no matter when it is replayed.  If
 the budget of window doublings is exhausted without a certificate the
 sampler raises instead of returning a biased point.
 
+Window 1 has the same geometry for every replica, so a driver drawing many
+samples walks it for a group of replicas at once (``_first_epochs``, used
+by ``experiments.run_cftp``).  ``_walk_windows`` stacks the group's
+matrices, driver as the last column, in one (R, n, n + 1) array: every
+shared step is one gather, exact split and scatter of each replica's rows
+i and j, and each replica marked at a closing time attempts on its own
+matrix with the same kernel and failure policy as the tracked walk.  Its
+records equal ``run_epoch``'s bit for bit, and ``cftp_sample`` takes one
+as its window 1; deeper windows and replays stay per sample.
+
 Randomness is counter-addressed (see :mod:`.streams`): the step at absolute
 time t owns block -t - 1, so a step's draws never depend on which window or
 replay consults them.
@@ -45,16 +55,22 @@ from functools import cache, partial
 
 import numpy as np
 
-from .chain import SimplexPoint, StepDraw, _apply_step
+from .chain import SimplexPoint, StepDraw, _apply_step, exact_split
 from .couplings import _subset_couple_columns
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
-from .streams import _draws_backward, aux_uniform
+from .streams import _draws_backward, _draws_backward_batch, aux_uniform
 
 # first-window phase lengths in units of n * ln(n)
 PHASE1_MULT = 12
 PHASE2_MULT = 2
 
 MAX_DOUBLINGS_DEFAULT = 20
+
+# ``_first_epochs`` walks window 1 of at most this many replicas at once,
+# and of fewer when their matrices would hold more than _GROUP_ENTRIES
+# doubles (8 MiB), so a group's memory stays bounded for every n
+_GROUP_REPLICAS = 64
+_GROUP_ENTRIES = 1 << 20
 
 
 def phase1_steps(n: int) -> int:
@@ -236,6 +252,21 @@ class BudgetExhaustedError(RuntimeError):
         self.doublings = doublings
 
 
+def _failure_note(s: int, cpls) -> FailureNote | None:
+    """Note of the first failed column of the attempt at closing time s."""
+    v = next((v for v, c in enumerate(cpls) if not c.success), None)
+    if v is None:
+        return None
+    c = cpls[v]
+    fin = math.isfinite(c.m) and math.isfinite(c.delta)
+    return FailureNote(
+        time=s, column=v + 1, m=c.m, delta=c.delta,
+        lo=max(0.0, min(1.0, c.delta)) if fin else 0.0,
+        hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
+        reason=c.reason,
+    )
+
+
 def _walk_window(
     tm: TransitionMatrix,
     master: int,
@@ -296,16 +327,8 @@ def _walk_window(
         aux = cache(partial(aux_uniform, master, replica, lo + p2 - s))
         xs, y, cpls = _subset_couple_columns(mat[:, :cols], mat[:, cols], rec, u, coins[s - 1], aux)
         if cutoff is None:
-            v = next((v for v, c in enumerate(cpls) if not c.success), None)
-            if v is not None:
-                c = cpls[v]
-                fin = math.isfinite(c.m) and math.isfinite(c.delta)
-                note = FailureNote(
-                    time=s, column=v + 1, m=c.m, delta=c.delta,
-                    lo=max(0.0, min(1.0, c.delta)) if fin else 0.0,
-                    hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
-                    reason=c.reason,
-                )
+            note = _failure_note(s, cpls)
+            if note is not None:
                 break
         mat[:, :cols] = xs
         mat[:, cols] = y
@@ -313,27 +336,135 @@ def _walk_window(
     return analysis, mat[:, cols].copy(), note
 
 
-def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
-    """Run window k's tracked chains and report whether it certified."""
+def _step_rows(flat: np.ndarray, ri: np.ndarray, rj: np.ndarray, lam: np.ndarray) -> None:
+    """One shared step of several matrices whose rows are stacked in flat.
+
+    Matrix r steps its rows ri[r] and rj[r] of flat with fraction lam[r, 0]:
+    one gather, the exact split of ``chain._apply_step`` entrywise, and one
+    scatter for all of them.  The rows must be distinct.
+    """
+    s = flat[ri] + flat[rj]
+    flat[ri], flat[rj] = exact_split(lam, s)
+
+
+def _walk_windows(
+    starts: np.ndarray, master: int, replicas, lo: int, hi: int, p2: int
+) -> list[tuple[PartitionAnalysis, np.ndarray, np.ndarray, FailureNote | None]]:
+    """The tracked ``_walk_window`` of window [lo, hi) for R replicas at once.
+
+    starts is an (R, n, C) array: replica replicas[r] walks from the C
+    columns starts[r], with the barycenter driver as one more column, all R
+    matrices in one (R, n, C + 1) array.  A shared step of all of them is
+    one ``_step_rows``.  Each replica's blocks are decoded by
+    ``streams._draws_backward_batch`` and its closing schedule analyzed on
+    its own.  At each closing time the live replicas without an attempt
+    there take the shared step together, and each replica marked there
+    attempts on its own matrix with ``_subset_couple_columns``.  A replica
+    stops at its first failed attempt, as the tracked walk does, and keeps
+    its state from before that attempt.
+
+    Returns, per replica, what ``_walk_window(tm, master, replica, lo, hi,
+    p2, None)`` returns from those columns, bit for bit: the schedule's
+    analysis, the columns tm would hold, the driver and the failure note.
+    """
+    reps, n, cols = starts.shape
+    mat = np.empty((reps, n, cols + 1))
+    mat[:, :, :cols] = starts
+    mat[:, :, cols] = SimplexPoint.center(n).values
+    flat = mat.reshape(reps * n, cols + 1)
+    base = np.arange(reps)[:, None] * n - 1  # 1-based row i of matrix r is flat row base[r] + i
+    for ii, jj, lams, _coins in _draws_backward_batch(master, replicas, lo + p2, hi, n):
+        for ri, rj, lam in zip((ii + base).T, (jj + base).T, lams.T[:, :, None]):
+            _step_rows(flat, ri, rj, lam)
+
+    ii, jj, us, coins = (
+        np.concatenate(parts, axis=1)
+        for parts in zip(*_draws_backward_batch(master, replicas, lo, lo + p2, n))
+    )
+    analyses = [
+        analyze_schedule(EdgeSchedule(n, tuple(zip(i.tolist(), j.tolist())))) for i, j in zip(ii, jj)
+    ]
+    marked = np.zeros((p2, reps), dtype=bool)
+    for r, analysis in enumerate(analyses):
+        if analysis.connected:
+            marked[[s - 1 for s in analysis.marked], r] = True
+    rows_i, rows_j = (ii + base).T, (jj + base).T
+    live = np.ones(reps, dtype=bool)
+    notes: list[FailureNote | None] = [None] * reps
+    for s in range(1, p2 + 1):
+        t = s - 1
+        attempts = marked[t] & live
+        step = np.flatnonzero(live & ~attempts)
+        _step_rows(flat, rows_i[t, step], rows_j[t, step], us[step, t][:, None])
+        for r in np.flatnonzero(attempts).tolist():
+            aux = cache(partial(aux_uniform, master, replicas[r], lo + p2 - s))
+            xs, y, cpls = _subset_couple_columns(
+                mat[r, :, :cols], mat[r, :, cols], analyses[r].splits[s],
+                float(us[r, t]), float(coins[r, t]), aux,
+            )
+            notes[r] = _failure_note(s, cpls)
+            if notes[r] is None:
+                mat[r, :, :cols] = xs
+                mat[r, :, cols] = y
+            else:
+                live[r] = False
+    return [
+        (analyses[r], mat[r, :, :cols].copy(), mat[r, :, cols].copy(), notes[r])
+        for r in range(reps)
+    ]
+
+
+def _epoch_record(
+    n: int, master: int, replica: int, k: int,
+    analysis: PartitionAnalysis, cols: np.ndarray, driver: np.ndarray, failure: FailureNote | None,
+) -> EpochRecord:
+    """Window k's record from its tracked walk, the certificate checked."""
     lo, hi, p1, p2 = window_geometry(n, k)
-    tm = TransitionMatrix.identity(n)
-    analysis, center, failure = _walk_window(tm, master, replica, lo, hi, p2, None)
     coalesced = analysis.connected and failure is None
     final: SimplexPoint | None = None
     if coalesced:
-        differs = (tm.mat != center[:, None]).any(axis=0)
+        differs = (cols != driver[:, None]).any(axis=0)
         if differs.any():
             raise RuntimeError(
                 f"window {k} certificate violated: column {int(differs.argmax()) + 1} "
                 "differs from the driver after full success"
             )
-        final = SimplexPoint(center)
+        final = SimplexPoint(driver)
     return EpochRecord(
         n=n, master=master, replica=replica, k=k, lo=lo, hi=hi, p1=p1, p2=p2,
         connected=analysis.connected, marked=analysis.marked,
         cutoff=None if failure is None else failure.time,
         coalesced=coalesced, failure=failure, final=final,
     )
+
+
+def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
+    """Run window k's tracked chains and report whether it certified."""
+    lo, hi, _p1, p2 = window_geometry(n, k)
+    tm = TransitionMatrix.identity(n)
+    analysis, center, failure = _walk_window(tm, master, replica, lo, hi, p2, None)
+    return _epoch_record(n, master, replica, k, analysis, tm.mat, center, failure)
+
+
+def _first_epochs(n: int, master: int, samples: int):
+    """Window 1's record of each replica 0 .. samples - 1, in replica order.
+
+    The replicas are walked in groups by ``_walk_windows``, each record
+    equal to ``run_epoch(n, master, replica, 1)`` bit for bit.  A group
+    holds at most _GROUP_REPLICAS replicas and _GROUP_ENTRIES matrix
+    entries.  A group of one replica yields None instead, since one walk is
+    faster through ``run_epoch``; ``cftp_sample`` then runs it.
+    """
+    lo, hi, _p1, p2 = window_geometry(n, 1)
+    size = max(1, min(_GROUP_REPLICAS, _GROUP_ENTRIES // (n * (n + 1))))
+    for start in range(0, samples, size):
+        group = range(start, min(samples, start + size))
+        if len(group) == 1:
+            yield None
+            continue
+        starts = np.broadcast_to(np.eye(n), (len(group), n, n))
+        for replica, walked in zip(group, _walk_windows(starts, master, group, lo, hi, p2)):
+            yield _epoch_record(n, master, replica, 1, *walked)
 
 
 def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> SimplexPoint:
@@ -389,6 +520,8 @@ def cftp_sample(
     master: int,
     replica: int,
     max_doublings: int = MAX_DOUBLINGS_DEFAULT,
+    *,
+    first: EpochRecord | None = None,
 ) -> CftpResult:
     """Draw one exact uniform sample, or raise if the budget runs out.
 
@@ -396,13 +529,21 @@ def cftp_sample(
     the same bitwise point.  Each coordinate of the output has cdf
     1 - (1 - t)^(n - 1) on [0, 1].  The mixing law is always uniform: the
     closing-phase fraction coupling is built on uniform marginals, so the
-    sampler takes no law.
+    sampler takes no law.  first, if given, is window 1's record as
+    ``run_epoch(n, master, replica, 1)`` returns it, already walked (as
+    ``run_cftp`` walks it for many samples at once); it stands in for that
+    call.  A record of another window or stream raises ValueError.
     """
     if max_doublings < 1:
         raise ValueError("max_doublings must be >= 1")
+    if first is not None and (first.n, first.master, first.replica, first.k) != (n, master, replica, 1):
+        raise ValueError(
+            f"first is window {first.k} of (n={first.n}, master={first.master}, "
+            f"replica={first.replica}), not window 1 of (n={n}, master={master}, replica={replica})"
+        )
     records: list[EpochRecord] = []
     for k in range(1, max_doublings + 1):
-        rec = run_epoch(n, master, replica, k)
+        rec = first if k == 1 and first is not None else run_epoch(n, master, replica, k)
         records.append(rec)
         if rec.coalesced:
             point = rec.final

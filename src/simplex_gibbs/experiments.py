@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats as _st
 
-from .cftp import MAX_DOUBLINGS_DEFAULT, cftp_sample
+from .cftp import MAX_DOUBLINGS_DEFAULT, _first_epochs, cftp_sample
 from .chain import (
     LambdaLaw,
     SimplexPoint,
@@ -605,7 +605,10 @@ def run_cftp(
     deviation of a coordinate mean from 1/n (threshold three standard errors),
     and the distribution of how many backward windows each sample needed.
     A sample that exhausts its doubling budget raises; the driver does not
-    substitute a biased value.
+    substitute a biased value.  Window 1 of the samples is walked in groups
+    (``cftp._first_epochs``); each sample then finishes in ``cftp_sample``
+    from its window-1 record, so the report equals that of one
+    ``cftp_sample`` call per sample, bit for bit.
     """
     if n < 2 or samples < 1:
         raise ValueError("need n >= 2, samples >= 1")
@@ -624,8 +627,8 @@ def run_cftp(
     doublings = np.empty(samples, dtype=np.int64)
     rows = []
     total = 0
-    for r in range(samples):
-        res = cftp_sample(n, seed, r, max_doublings=max_doublings)
+    for r, first in enumerate(_first_epochs(n, seed, samples)):
+        res = cftp_sample(n, seed, r, max_doublings=max_doublings, first=first)
         points[r] = res.point.values
         doublings[r] = res.doublings
         total += res.total_steps

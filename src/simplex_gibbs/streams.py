@@ -90,11 +90,26 @@ def _draws_backward(master: int, replica: int, lo: int, hi: int, n: int):
     ``pair_from_word`` gives them), the fractions (word 1) and the coins
     (word 2).
     """
+    for i, j, lams, coins in _draws_backward_batch(master, (replica,), lo, hi, n):
+        yield i[0].tolist(), j[0].tolist(), lams[0].tolist(), coins[0].tolist()
+
+
+def _draws_backward_batch(master: int, replicas, lo: int, hi: int, n: int):
+    """``_draws_backward`` for several replicas at once, as (R, L) arrays.
+
+    Each chunk reads the replicas' blocks with ``read_blocks`` one replica
+    at a time and keeps only the three words a walk uses.  Row r of each
+    array belongs to replicas[r]; columns run in time order.  Yields
+    (i, j, lams, coins): int64 pairs (1-based) and float64 fractions and
+    coins.
+    """
     while hi > lo:
         bottom = max(lo, hi - _CHUNK_BLOCKS)
-        rows = read_blocks(master, replica, bottom, hi)[::-1]
-        i, j = _pairs_from_words(rows[:, 0], n)
-        yield i.tolist(), j.tolist(), rows[:, 1].tolist(), rows[:, 2].tolist()
+        words = np.empty((3, len(replicas), hi - bottom))
+        for r, replica in enumerate(replicas):
+            words[:, r] = read_blocks(master, replica, bottom, hi)[::-1, :3].T
+        i, j = _pairs_from_words(words[0], n)
+        yield i, j, words[1], words[2]
         hi = bottom
 
 

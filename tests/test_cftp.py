@@ -25,7 +25,9 @@ from simplex_gibbs.cftp import (
     CftpResult,
     FailureNote,
     TransitionMatrix,
+    _first_epochs,
     _walk_window,
+    _walk_windows,
     cftp_sample,
     evolve_matrix,
     phase1_steps,
@@ -525,6 +527,135 @@ def test_certificate_violation_names_first_differing_column(monkeypatch):
         run_epoch(5, 99, replica, 1)
 
 
+# ------------------------------------------------- batched first window
+
+def _record_bits(rec):
+    """A window record as comparable data: JSON form, note bits, final bytes."""
+    final = None if rec.final is None else rec.final.values.tobytes()
+    return json.dumps(rec.to_json_dict()), _note_bits(rec.failure), final
+
+
+def _group_sizes(monkeypatch):
+    """Record the group size of every ``_walk_windows`` call from now on."""
+    sizes = []
+    walk = cftp._walk_windows
+
+    def spy(starts, *args):
+        sizes.append(starts.shape[0])
+        return walk(starts, *args)
+
+    monkeypatch.setattr(cftp, "_walk_windows", spy)
+    return sizes
+
+
+def test_batched_first_windows_match_run_epoch(monkeypatch):
+    # groups of 7 do not divide 30 replicas: the last group holds 2
+    monkeypatch.setattr(cftp, "_GROUP_REPLICAS", 7)
+    sizes = _group_sizes(monkeypatch)
+    failures = 0
+    for n in (2, 3, 4, 8, 16, 32):
+        for master in (0, 5, 777):
+            got = list(_first_epochs(n, master, 30))
+            assert len(got) == 30
+            for replica, rec in enumerate(got):
+                assert _record_bits(rec) == _record_bits(run_epoch(n, master, replica, 1))
+                failures += not rec.coalesced
+    assert sizes == [7, 7, 7, 7, 2] * 18
+    assert failures > 0  # failed records, notes included, are compared too
+
+
+def test_first_window_groups_are_bounded(monkeypatch):
+    sizes = _group_sizes(monkeypatch)
+    assert len(list(_first_epochs(16, 5, 70))) == 70
+    assert sizes == [64, 6]
+    # matrix entries bound a group: here two n=4 matrices of 4 x 5; a
+    # trailing group of one is left to run_epoch in cftp_sample
+    monkeypatch.setattr(cftp, "_GROUP_ENTRIES", 2 * 4 * 5)
+    got = list(_first_epochs(4, 5, 5))
+    assert sizes[2:] == [2, 2] and got[4] is None
+    assert [_record_bits(r) for r in got[:4]] == [_record_bits(run_epoch(4, 5, r, 1)) for r in range(4)]
+    # at the default bound an n=1024 group would hold one matrix: no batch
+    assert list(_first_epochs(1024, 5, 3)) == [None] * 3 and sizes[4:] == []
+
+
+def test_batched_walk_is_chunk_invariant(monkeypatch):
+    # with 7-block chunks, chunk borders fall inside both phases and on
+    # the border between them
+    def outputs():
+        return [[_record_bits(r) for r in _first_epochs(n, master, 6)] for n, master in ((16, 5), (5, 99))]
+
+    default = outputs()
+    sizes = []
+    read = streams.read_blocks
+
+    def spy(master, replica, lo, hi):
+        sizes.append(hi - lo)
+        return read(master, replica, lo, hi)
+
+    monkeypatch.setattr(streams, "_CHUNK_BLOCKS", 7)
+    monkeypatch.setattr(streams, "read_blocks", spy)
+    assert outputs() == default
+    assert max(sizes) == 7 and min(sizes) < 7
+
+
+def _batch_agrees(starts, master, replicas):
+    """Closing phase of window 1 from each replica's own columns, batched.
+
+    Checks every output of ``_walk_windows`` against ``_walk_window`` from
+    the same columns, bit for bit, and returns the failure notes.
+    """
+    starts = np.array(starts, dtype=float)
+    lo, _hi, _p1, p2 = window_geometry(starts.shape[1], 1)
+    got = _walk_windows(starts, master, replicas, lo, lo + p2, p2)
+    notes = []
+    for cols, replica, (analysis, tm_cols, driver, note) in zip(starts, replicas, got):
+        tm = TransitionMatrix(cols.copy())
+        want = _walk_window(tm, master, replica, lo, lo + p2, p2, None)
+        assert analysis == want[0]
+        assert driver.tobytes() == want[1].tobytes()
+        assert _note_bits(note) == _note_bits(want[2])
+        assert tm_cols.shape == tm.mat.shape and tm_cols.tobytes() == tm.mat.tobytes()
+        notes.append(note)
+    return notes
+
+
+def test_batched_walk_matches_forced_failures():
+    # the columns of the failure-note tests above, several replicas a batch
+    eye = np.eye(4)
+    notes = _batch_agrees([eye] * 5, 5, [4, 0, 1, 2, 3])
+    assert (notes[0].time, notes[0].column, notes[0].reason) == (4, 1, "thinned")
+    notes = _batch_agrees([eye[:, [2]], eye[:, [0]]], 5, [4, 4])
+    assert [(f.time, f.column, f.reason) for f in notes] == [(4, 1, "degenerate"), (4, 1, "thinned")]
+    assert _batch_agrees([eye[:, [2, 0]], eye[:, [0, 2]]], 5, [4, 4])[0].reason == "degenerate"
+    refused, oor, center = [0.5, 0.5 + 1e-10], [0.25, 0.25], [0.5, 0.5]
+    notes = _batch_agrees([np.array([refused, oor]).T, np.array([oor, refused]).T], 5, [1, 1])
+    assert [(f.time, f.column, f.reason) for f in notes] == [(3, 1, "nudge_refused"), (3, 1, "out_of_range")]
+    notes = _batch_agrees([np.array([center, refused, oor]).T], 5, [1])
+    assert (notes[0].column, notes[0].reason) == (2, "nudge_refused")
+
+
+def test_thinned_attempt_flips_with_its_coin(monkeypatch):
+    # e_1 alone through window (4, 5, 4) is thinned at time 4.  With that
+    # block's coin set to min(1, m), the largest coin that keeps the
+    # candidate, the same attempt succeeds, in both walks: an outcome that
+    # reads the coin of any other block fails one of the two asserts.
+    col = np.eye(4)[:, [0]]
+    note = _batch_agrees([col], 5, [4])[0]
+    assert (note.time, note.column, note.reason) == (4, 1, "thinned")
+    lo, _hi, _p1, p2 = window_geometry(4, 1)
+    block = lo + p2 - note.time
+    read = streams.read_blocks
+
+    def with_coin(master, replica, a, b):
+        rows = read(master, replica, a, b)
+        if (master, replica) == (5, 4) and a <= block < b:
+            rows[block - a, 2] = min(1.0, note.m)
+        return rows
+
+    monkeypatch.setattr(streams, "read_blocks", with_coin)
+    assert _batch_agrees([col, col], 5, [4, 4]) == [None, None]
+
+
 # ------------------------------------------------------------ propagation
 
 def test_driver_replay_reproduces_certified_point():
@@ -671,6 +802,21 @@ def test_budget_exhaustion_raises():
             assert err.value.doublings == 1
             return
     pytest.fail("no failing first window found in 200 replicas")
+
+
+def test_sampler_takes_its_own_first_window():
+    # 345 fails window 1 and goes on through run_epoch and a replay
+    for replica in (0, 345):
+        first = run_epoch(5, 99, replica, 1)
+        got, want = cftp_sample(5, 99, replica, first=first), cftp_sample(5, 99, replica)
+        assert got.point.values.tobytes() == want.point.values.tobytes()
+        assert [_record_bits(r) for r in got.epochs] == [_record_bits(r) for r in want.epochs]
+        assert got.epochs[0] is first
+    assert cftp_sample(5, 99, 345).doublings > 1
+    for other in (run_epoch(4, 99, 0, 1), run_epoch(5, 98, 0, 1), run_epoch(5, 99, 1, 1),
+                  run_epoch(5, 99, 0, 2)):
+        with pytest.raises(ValueError, match="not window 1"):
+            cftp_sample(5, 99, 0, first=other)
 
 
 def test_sampler_rejects_bad_budget():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+from simplex_gibbs import experiments
 from simplex_gibbs.cftp import run_epoch
 from simplex_gibbs.cli import main
 from simplex_gibbs.experiments import (
@@ -230,11 +231,28 @@ class TestCftp:
         # the last window of every sample is the certified one
         assert set(finals.values()) == {1.0}
 
+    @pytest.mark.parametrize("n, samples", [(2, 150), (5, 60), (16, 30)])
+    def test_report_and_traces_equal_per_sample_loop(self, n, samples, tmp_path, monkeypatch):
+        # the reference runs window 1 of each sample inside its cftp_sample
+        def report(name):
+            rep = run_cftp(n, samples, 8, traces_path=tmp_path / name).to_json_dict()
+            rep.pop("elapsed_seconds")
+            return json.dumps(rep), (tmp_path / name).read_bytes()
+
+        batched = report("batched.csv")
+        monkeypatch.setattr(experiments, "_first_epochs", lambda n, master, samples: [None] * samples)
+        assert batched == report("loop.csv")
+        if n > 2:  # some sample went on past a failed window 1
+            assert max(r for _r, r, _c in _read_traces(tmp_path / "loop.csv")) > 1
+
     def test_budget_error_propagates(self):
         from simplex_gibbs.cftp import BudgetExhaustedError
 
-        with pytest.raises(BudgetExhaustedError):
+        with pytest.raises(BudgetExhaustedError) as err:
             run_cftp(5, 20, 99, max_doublings=1)
+        # the first sample whose window 1 fails, as without the batch
+        first = next(r for r in range(20) if not run_epoch(5, 99, r, 1).coalesced)
+        assert (err.value.replica, err.value.doublings) == (first, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
