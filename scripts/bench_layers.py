@@ -205,20 +205,18 @@ def layers() -> dict:
         out[f"cftp_sample_{n}"] = (
             len(REPLICAS), lambda n=n: [cftp.cftp_sample(n, MASTER, r) for r in REPLICAS]
         )
-    experiments = importlib.import_module("simplex_gibbs.experiments")
-    out["run_cftp"] = (len(CHUNK_SEEDS), run_cftp_chunks(experiments))
+    out["run_cftp"] = (len(CHUNK_SEEDS), run_cftp_chunks)
     out["full_coupling_run"] = (len(REPLICAS), lambda: [
         two_stage.full_coupling_run(N, 1.0, np.random.default_rng(r)) for r in REPLICAS
     ])
     return out
 
 
-def run_cftp_chunks(experiments):
-    def run():
-        for seed in CHUNK_SEEDS:
-            experiments.run_cftp(N, CHUNK_SAMPLES, seed)
-
-    return run
+def run_cftp_chunks() -> None:
+    """The cftp-n16 benchmark chunks: run_cftp(16, 20, seed) for each seed."""
+    experiments = importlib.import_module("simplex_gibbs.experiments")
+    for seed in CHUNK_SEEDS:
+        experiments.run_cftp(N, CHUNK_SAMPLES, seed)
 
 
 def summarize(values: list[float], unit: str, calls: int) -> dict:
@@ -247,7 +245,6 @@ def time_layer(calls: int, fn) -> dict:
 def marked_share() -> dict:
     """Share of the ``run_cftp`` row's wall time spent in marked-time attempts."""
     cftp = importlib.import_module("simplex_gibbs.cftp")
-    run = run_cftp_chunks(importlib.import_module("simplex_gibbs.experiments"))
     kernel = cftp._subset_couple_columns
     spent = [0.0]
 
@@ -260,12 +257,12 @@ def marked_share() -> dict:
 
     cftp._subset_couple_columns = timed
     try:
-        run()
+        run_cftp_chunks()
         shares = []
         for _ in range(REPEATS):
             spent[0] = 0.0
             t0 = time.perf_counter()
-            run()
+            run_cftp_chunks()
             shares.append(spent[0] / (time.perf_counter() - t0))
     finally:
         cftp._subset_couple_columns = kernel
