@@ -52,7 +52,13 @@ Layers, all at n = 16, the attempts and windows on window 1 of master 5:
     time spent in marked-time attempts (``_subset_couple_columns`` as
     ``cftp`` calls it), one share per repeat, unit "share";
   - ``full_coupling_run``: one burn-in plus collision stage at C = 1,
-    averaged over the generators ``default_rng(0..7)``.
+    averaged over the generators ``default_rng(0..7)``;
+  - ``burn_in_step``: one step of ``proportional_run`` from the first
+    vertex and the barycenter, over the 267 steps of the C = 1 burn-in,
+    averaged over the generators ``default_rng(0..7)``;
+  - ``step_draws_bulk``: the draws of those 267 steps, one
+    ``sample_step_draw(16, rng, size=267)`` where it takes a size, else 267
+    scalar ``sample_step_draw`` calls, as the burn-in made them.
 Run it single-threaded on an otherwise idle machine, one label at a time.
 """
 
@@ -76,6 +82,8 @@ REPEATS = 9
 # the first three chunk seeds of cftp-n16's benchmark seed 1, 20 samples each
 CHUNK_SEEDS = (1_000_000, 1_000_001, 1_000_002)
 CHUNK_SAMPLES = 20
+# burn_in_steps(16, 4.0): the burn-in of a C = 1 coupled run at n = 16
+BURN_IN = 267
 
 
 def machine_facts() -> dict:
@@ -209,6 +217,19 @@ def layers() -> dict:
     out["full_coupling_run"] = (len(REPLICAS), lambda: [
         two_stage.full_coupling_run(N, 1.0, np.random.default_rng(r)) for r in REPLICAS
     ])
+    x0, y0 = chain.SimplexPoint.vertex(N, 1), chain.SimplexPoint.center(N)
+    out["burn_in_step"] = (len(REPLICAS) * BURN_IN, lambda: [
+        two_stage.proportional_run(x0, y0, BURN_IN, np.random.default_rng(r)) for r in REPLICAS
+    ])
+    draw = chain.sample_step_draw
+    if "size" in inspect.signature(draw).parameters:
+        def burn_in_draws(rng):
+            return draw(N, rng, size=BURN_IN)
+    else:
+        def burn_in_draws(rng):
+            return [draw(N, rng) for _ in range(BURN_IN)]
+    rng = np.random.default_rng(0)
+    out["step_draws_bulk"] = (50, lambda: [burn_in_draws(rng) for _ in range(50)])
     return out
 
 

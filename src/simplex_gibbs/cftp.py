@@ -309,17 +309,16 @@ def _walk_window(
         for i, j, lam in zip(ii, jj, lams):
             shared_step(i, j, lam)
 
-    pairs: list[tuple[int, int]] = []
-    us: list[float] = []
-    coins: list[float] = []
-    for ii, jj, lams, cs in _draws_backward(master, replica, lo, lo + p2, n):
-        pairs += zip(ii, jj)
-        us += lams
-        coins += cs
-    analysis = analyze_schedule(EdgeSchedule(n, tuple(pairs)))
+    ii, jj, us, coins = (
+        np.concatenate(parts, axis=1)[0]
+        for parts in zip(*_draws_backward_batch(master, (replica,), lo, lo + p2, n))
+    )
+    schedule = EdgeSchedule._from_arrays(n, ii, jj)
+    analysis = analyze_schedule(schedule)
+    us, coins = us.tolist(), coins.tolist()
     last = p2 if cutoff is None else cutoff - 1
     note = None
-    for s, ((i, j), u) in enumerate(zip(pairs, us), start=1):
+    for s, ((i, j), u) in enumerate(zip(schedule.pairs, us), start=1):
         rec = analysis.splits.get(s) if analysis.connected and s <= last else None
         if rec is None:
             shared_step(i, j, u)
@@ -382,7 +381,7 @@ def _walk_windows(
         for parts in zip(*_draws_backward_batch(master, replicas, lo, lo + p2, n))
     )
     analyses = [
-        analyze_schedule(EdgeSchedule(n, tuple(zip(i.tolist(), j.tolist())))) for i, j in zip(ii, jj)
+        analyze_schedule(EdgeSchedule._from_arrays(n, i, j)) for i, j in zip(ii, jj)
     ]
     marked = np.zeros((p2, reps), dtype=bool)
     for r, analysis in enumerate(analyses):

@@ -23,6 +23,7 @@ Coordinate indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,6 +276,13 @@ class LambdaLaw:
 # default law of sample_step_draw and evolve, built once
 _UNIFORM = LambdaLaw()
 
+# steps drawn per sample_step_draw call of the stepping loops (``_step_draws``)
+_DRAW_CHUNK = 1 << 12
+_TWO_POW_M53 = 1.0 / 9007199254740992.0
+# whether PCG64 draws are decoded in bulk: a fact about the installed numpy,
+# so one per process; None until ``_decoder_guard`` has run
+_BULK_OK: bool | None = None
+
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
@@ -300,35 +308,164 @@ def _pairs_at(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the rounded perfect square (2r + 1)^2 is exactly 2r + 1, and rounding
     and the root are monotone, so the float floor is never too low; it can
     be one row too high when 8 back + 1 rounds up to the next square, and
-    one integer correction makes r exact.  Raises ValueError for an n whose
-    pair numbers would overflow int64 in 8 back + 1, instead of decoding
-    them wrongly.
+    one integer correction makes r exact.  The root is at least 1, so
+    truncating (root - 1) / 2, a halving without rounding, is its floor.
+    Raises ValueError for an n whose pair numbers would overflow int64 in
+    8 back + 1, instead of decoding them wrongly.
     """
     c = n * (n - 1) // 2
     if 8 * c - 7 > np.iinfo(np.int64).max:
         raise ValueError(f"pair numbers of n={n} overflow int64")
     back = (c - 1) - np.asarray(k, dtype=np.int64)
-    r = ((np.sqrt(8 * back + 1) - 1.0) // 2.0).astype(np.int64)
-    r -= r * (r + 1) // 2 > back
-    return n - 1 - r, n - back + r * (r + 1) // 2
+    r = ((np.sqrt(8 * back + 1) - 1.0) * 0.5).astype(np.int64)
+    r -= (r * (r + 1) >> 1) > back
+    return n - 1 - r, n - back + (r * (r + 1) >> 1)
 
 
-def sample_step_draw(n: int, rng: np.random.Generator, law: LambdaLaw | None = None) -> StepDraw:
+def _scalar_draws(n: int, rng: np.random.Generator, law: LambdaLaw, size: int):
+    """Pair numbers and fractions of size scalar draws, as sample_step_draw makes them."""
+    c = pair_count(n)
+    k = np.empty(size, dtype=np.int64)
+    lam = np.empty(size)
+    for t in range(size):
+        k[t] = rng.integers(0, c)
+        lam[t] = law.sample(rng)
+    return k, lam
+
+
+def _decode_draws(n: int, bg: np.random.PCG64, size: int):
+    """Pair numbers and uniform fractions of size steps, decoded from raw words.
+
+    Bit for bit what size scalar draws from a Generator on bg would give,
+    and bg is left in the state those draws would leave it in.  Per step,
+    ``integers(0, c)`` with c = n(n-1)/2 < 2^32 maps one 32-bit half to
+    [0, c) by Lemire's multiply-and-shift: the buffered high half of the
+    last word when one is held, else the low half of a fresh word, whose
+    high half is then held.  ``random()`` takes one whole word w and returns
+    (w >> 11) 2^-53.  So one integer word serves two steps, each followed
+    by its fraction word, and a half held at entry feeds the first step.
+    For c = 1, ``integers(0, 1)`` reads nothing.  A half h whose leftover
+    h c mod 2^32 falls below 2^32 mod c is rejected and redrawn, which
+    shifts the layout: then bg is restored to its entry state and None is
+    returned, and the caller draws the steps one at a time.
+    """
+    c = pair_count(n)
+    if size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    if c == 1:
+        return np.zeros(size, dtype=np.int64), (bg.random_raw(size) >> 11) * _TWO_POW_M53
+    entry = bg.state
+    held = entry["has_uint32"]
+    fresh = size - held  # steps whose integer half comes from a fresh word
+    words = bg.random_raw(size + (fresh + 1) // 2)
+    int_words = words[held::3]
+    halves = int_words.astype("<u8").view("<u4")  # low, high, low, high, ...
+    if held:
+        halves = np.concatenate(([np.uint32(entry["uinteger"])], halves))
+    m = halves[:size] * np.uint64(c)
+    if (m.astype(np.uint32) < (1 << 32) % c).any():
+        bg.state = entry
+        return None
+    # the scalar calls hold the high half of the last integer word, used or not
+    state = bg.state
+    state["has_uint32"] = fresh % 2
+    if int_words.size:
+        state["uinteger"] = int(halves[-1])
+    bg.state = state
+    body, pairs = words[held:], fresh // 2
+    fractions = np.concatenate(
+        (words[:held], body[: 3 * pairs].reshape(pairs, 3)[:, 1:].ravel(), body[3 * pairs + 1 :])
+    )
+    return (m >> 32).astype(np.int64), (fractions >> 11) * _TWO_POW_M53
+
+
+def _decoder_guard() -> bool:
+    """True when decoded draws and the state after them equal scalar draws.
+
+    A short fixed stream per case: n = 2, odd and even sizes, and a half
+    held at entry.  Guards against a numpy whose generator internals moved.
+    """
+    for n, size, held in ((2, 3, 0), (16, 7, 0), (16, 8, 1), (1024, 9, 1)):
+        a, b = (np.random.Generator(np.random.PCG64(20111)) for _ in range(2))
+        if held:
+            a.integers(0, 3)
+            b.integers(0, 3)
+        got = _decode_draws(n, a.bit_generator, size)
+        want = _scalar_draws(n, b, _UNIFORM, size)
+        if got is None or not all(np.array_equal(g, w) for g, w in zip(got, want)):
+            return False
+        if a.bit_generator.state != b.bit_generator.state:
+            return False
+    return True
+
+
+def _bulk_decoding() -> bool:
+    """Whether to decode in bulk; runs the guard once and warns once if it fails."""
+    global _BULK_OK
+    if _BULK_OK is None:
+        _BULK_OK = _decoder_guard()
+        if not _BULK_OK:
+            warnings.warn(
+                "decoded PCG64 step draws differ from scalar draws in this numpy; "
+                "drawing steps one at a time",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return _BULK_OK
+
+
+def sample_step_draw(
+    n: int, rng: np.random.Generator, law: LambdaLaw | None = None, size: int | None = None
+) -> StepDraw | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one step's randomness: a uniform unordered pair and a law draw.
 
     Args:
         n: dimension, n >= 2.
         rng: numpy Generator.
         law: mixing law; uniform by default.
+        size: None for one draw, else the number of draws K >= 0.
 
     Returns:
-        StepDraw with 1-based indices i < j.
+        StepDraw with 1-based indices i < j; with size=K, arrays (i, j, lam)
+        of K draws, equal draw for draw to K scalar calls, with rng left as
+        those calls leave it.  Uniform draws from a PCG64 generator with
+        c = n(n-1)/2 < 2^32 are decoded in bulk (``_decode_draws``); every
+        other case, and a decode that meets a Lemire rejection, draws
+        scalar.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     law = law if law is not None else _UNIFORM
-    i, j = _pair_at(n, int(rng.integers(0, pair_count(n))))
-    return StepDraw(i, j, float(law.sample(rng)))
+    if size is None:
+        i, j = _pair_at(n, int(rng.integers(0, pair_count(n))))
+        return StepDraw(i, j, float(law.sample(rng)))
+    if size < 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
+    drawn = None
+    bg = rng.bit_generator
+    if (
+        law.kind == "uniform"
+        and pair_count(n) < 1 << 32
+        and type(bg) is np.random.PCG64
+        and _bulk_decoding()
+    ):
+        drawn = _decode_draws(n, bg, size)
+    k, lam = drawn if drawn is not None else _scalar_draws(n, rng, law, size)
+    i, j = _pairs_at(n, k)
+    return i, j, lam
+
+
+def _step_draws(n: int, steps: int, rng: np.random.Generator, law: LambdaLaw | None = None):
+    """Yield 0-based (i0, j0, lam) of steps draws, drawn in bounded chunks.
+
+    One ``sample_step_draw(..., size=...)`` per chunk of at most
+    ``_DRAW_CHUNK`` steps, so memory stays bounded for any step count.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    for start in range(0, steps, _DRAW_CHUNK):
+        i, j, lam = sample_step_draw(n, rng, law, size=min(_DRAW_CHUNK, steps - start))
+        yield from zip((i - 1).tolist(), (j - 1).tolist(), lam.tolist())
 
 
 def _apply_step(arr: np.ndarray | list[float], i0: int, j0: int, lam: float) -> None:
@@ -365,16 +502,10 @@ def evolve(
     law: LambdaLaw | None = None,
 ) -> SimplexPoint:
     """Run the chain for a number of steps and return the final point."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    law = law if law is not None else _UNIFORM
-    n = x.n
-    c = pair_count(n)
-    arr = np.array(x.values)
-    for _ in range(steps):
-        i, j = _pair_at(n, int(rng.integers(0, c)))
-        _apply_step(arr, i - 1, j - 1, float(law.sample(rng)))
-    return SimplexPoint(arr)
+    xs = x.values.tolist()
+    for i0, j0, lam in _step_draws(x.n, steps, rng, law):
+        _apply_step(xs, i0, j0, lam)
+    return SimplexPoint(xs)
 
 
 def sample_uniform_simplex(n: int, rng: np.random.Generator) -> SimplexPoint:

@@ -32,6 +32,7 @@ from .chain import (
     _apply_step,
     _pair_at,
     _sq_distance_raw,
+    _step_draws,
     contraction_factor,
     pair_count,
     sample_step_draw,
@@ -271,9 +272,8 @@ def run_simulate(
         xs = SimplexPoint.vertex(n, 1).values.tolist()
         if traces_path is not None:
             rows.append((r, 0, _sq_distance_raw(xs, center.values)))
-        for t in range(1, T + 1):
-            d = sample_step_draw(n, rng, law)
-            _apply_step(xs, d.i - 1, d.j - 1, d.lam)
+        for t, (i0, j0, lam) in enumerate(_step_draws(n, T, rng, law), start=1):
+            _apply_step(xs, i0, j0, lam)
             if traces_path is not None:
                 rows.append((r, t, _sq_distance_raw(xs, center.values)))
         x = SimplexPoint(xs)

@@ -53,12 +53,27 @@ class EdgeSchedule:
         return len(self.pairs)
 
     @classmethod
+    def _from_arrays(cls, n: int, i: np.ndarray, j: np.ndarray) -> "EdgeSchedule":
+        """Schedule of decoded pair arrays, checked with one array test.
+
+        The same schedule as the constructor builds from the same pairs,
+        without its per-pair Python check.
+        """
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        if not ((1 <= i) & (i < j) & (j <= n)).all():
+            raise ValueError(f"decoded pairs out of range for n={n}")
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "n", n)
+        object.__setattr__(schedule, "pairs", tuple(zip(i.tolist(), j.tolist())))
+        return schedule
+
+    @classmethod
     def sample(cls, n: int, T: int, rng: np.random.Generator) -> "EdgeSchedule":
         """Draw T independent uniform unordered pairs."""
         if T < 0:
             raise ValueError("T must be nonnegative")
-        i, j = _pairs_at(n, rng.integers(0, pair_count(n), size=T))
-        return cls(n, tuple(zip(i.tolist(), j.tolist())))
+        return cls._from_arrays(n, *_pairs_at(n, rng.integers(0, pair_count(n), size=T)))
 
     def to_lists(self) -> list[list[int]]:
         """JSON form: [[i, j], ...] in time order."""

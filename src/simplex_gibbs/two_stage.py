@@ -21,11 +21,15 @@ The first failed attempt demotes the remainder of the pass to proportional
 stepping; collision can then no longer be certified for that replica.
 
 The burn-in is the hot loop, so ``proportional_run`` steps raw float lists:
-its inputs are validated ``SimplexPoint``s, each step takes its draw from
-``sample_step_draw`` and applies it with ``chain._apply_step``, and one
-validated ``SimplexPoint`` per chain is built at exit.  The per-step
-arithmetic is the same IEEE double arithmetic as ``step``, so the result
-is bit for bit that of stepping validated points.
+its inputs are validated ``SimplexPoint``s, its draws come in bulk, one
+``sample_step_draw(n, rng, size=...)`` per bounded chunk of steps, and
+each draw is applied to both lists with ``chain._apply_step``; one
+validated ``SimplexPoint`` per chain is built at exit.  The bulk draws
+decode the generator's PCG64 words directly and equal the scalar draws
+bit for bit, leaving the generator where the scalar draws would, so the
+stage that follows reads the same stream.  The per-step arithmetic is the
+same IEEE double arithmetic as ``step``, so the result is bit for bit that
+of stepping validated points with scalar draws.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from simplex_gibbs.chain import (
     StepDraw,
     _apply_step,
     _sq_distance_raw,
-    sample_step_draw,
+    _step_draws,
     sample_uniform_simplex,
     sq_distance,
     step,
@@ -115,20 +119,20 @@ def proportional_run(
     """Advance both chains through shared draws for the given step count.
 
     The points are validated on entry and rebuilt as validated points on
-    exit; in between both chains are raw float lists, stepped with the
-    draws of ``sample_step_draw`` in the order the generator yields them.
-    When z_out is a list, the squared distance after each step is appended
-    to it (one value per step).
+    exit; in between both chains are raw float lists.  The draws come from
+    ``sample_step_draw(n, rng, size=...)``, one call per bounded chunk of
+    steps (``chain._step_draws``), equal to the scalar draws in the order
+    the generator yields them, and each is applied to both lists with
+    ``chain._apply_step``.  When z_out is a list, the squared distance
+    after each step is appended to it (one value per step).  Raises
+    ValueError for a negative step count.
     """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
-    n = x.n
     xs, ys = x.values.tolist(), y.values.tolist()
-    for _ in range(steps):
-        d = sample_step_draw(n, rng)
-        i0, j0 = d.i - 1, d.j - 1
-        _apply_step(xs, i0, j0, d.lam)
-        _apply_step(ys, i0, j0, d.lam)
+    for i0, j0, lam in _step_draws(x.n, steps, rng):
+        _apply_step(xs, i0, j0, lam)
+        _apply_step(ys, i0, j0, lam)
         if z_out is not None:
             z_out.append(_sq_distance_raw(xs, ys))
     return SimplexPoint(xs), SimplexPoint(ys)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,146 @@ def test_evolve_matches_manual_stepping():
     assert a.equals_bitwise(b)
 
 
+def test_evolve_draws_in_bounded_chunks(monkeypatch):
+    sizes = []
+    bulk = chain.sample_step_draw
+
+    def spy(n, rng, law=None, size=None):
+        sizes.append(size)
+        return bulk(n, rng, law, size)
+
+    monkeypatch.setattr(chain, "_DRAW_CHUNK", 10)
+    monkeypatch.setattr(chain, "sample_step_draw", spy)
+    r1, r2 = np.random.default_rng(12), np.random.default_rng(12)
+    x = SimplexPoint.center(7)
+    a = evolve(x, 23, r1)
+    assert sizes == [10, 10, 3]
+    b = x
+    for _ in range(23):
+        b = step(b, bulk(7, r2))
+    assert a.equals_bitwise(b)
+    with pytest.raises(ValueError, match="nonnegative"):
+        evolve(x, -1, r1)
+
+
+# ---------------------------------------------------------------- bulk draws
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the scalar draws that ``sample_step_draw(..., size=K)`` falls back to."""
+    calls = []
+    scalar = chain._scalar_draws
+
+    def spy(n, rng, law, size):
+        calls.append(size)
+        return scalar(n, rng, law, size)
+
+    monkeypatch.setattr(chain, "_scalar_draws", spy)
+    return calls
+
+
+def _assert_bulk_equals_scalar(n, make_rng, size, law=None, hold_half=False):
+    """K bulk draws equal K scalar calls, and so do the draws that follow."""
+    a, b = make_rng(), make_rng()
+    if hold_half:  # a scalar integer draw leaves the high half of its word buffered
+        a.integers(0, 3)
+        b.integers(0, 3)
+    i, j, lam = sample_step_draw(n, a, law, size=size)
+    want = [sample_step_draw(n, b, law) for _ in range(size)]
+    assert i.dtype == j.dtype == np.int64 and lam.dtype == np.float64
+    assert i.tolist() == [d.i for d in want] and j.tolist() == [d.j for d in want]
+    assert [v.hex() for v in lam.tolist()] == [d.lam.hex() for d in want]
+    # str() compares the array-valued states of other bit generators too
+    assert str(a.bit_generator.state) == str(b.bit_generator.state)
+    assert a.integers(0, 1000, size=5).tolist() == b.integers(0, 1000, size=5).tolist()
+    assert a.random(3).tolist() == b.random(3).tolist()
+
+
+@pytest.mark.parametrize("hold_half", [False, True], ids=["fresh", "held_half"])
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 267])
+@pytest.mark.parametrize("n", [2, 3, 16, 1024])
+def test_bulk_draws_equal_scalar_draws(n, size, hold_half, fallbacks):
+    for seed in range(3):
+        _assert_bulk_equals_scalar(n, lambda: np.random.default_rng(seed), size, hold_half=hold_half)
+    if n <= 16:
+        # 2^32 mod c <= 16 here: a Lemire rejection has odds below 2^-28 per draw
+        assert fallbacks == []
+
+
+def test_bulk_draws_leave_the_last_high_half_buffered():
+    # an odd number of fresh integer halves holds one, an even number none
+    for size, held in ((1, 1), (2, 0), (7, 1), (8, 0)):
+        rng = np.random.default_rng(5)
+        sample_step_draw(16, rng, size=size)
+        assert rng.bit_generator.state["has_uint32"] == held
+
+
+def test_bulk_draws_fall_back_on_a_lemire_rejection(fallbacks):
+    # c = n(n-1)/2 > 2^31 at n = 65537, so 2^32 mod c = 2^32 - c rejects about half of all halves
+    n = 65537
+    outcomes = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        entry = rng.bit_generator.state
+        decoded = chain._decode_draws(n, rng.bit_generator, 1)
+        if decoded is None:
+            assert rng.bit_generator.state == entry
+        outcomes.append(decoded is None)
+        _assert_bulk_equals_scalar(n, lambda: np.random.default_rng(seed), 8)
+    assert any(outcomes) and not all(outcomes)
+    assert len(fallbacks) >= 9
+
+
+@pytest.mark.parametrize(
+    "n, make_rng, law",
+    [
+        (16, lambda: np.random.Generator(np.random.Philox(3)), None),
+        (16, lambda: np.random.default_rng(3), LambdaLaw.beta(0.5)),
+        (92683, lambda: np.random.default_rng(3), None),
+    ],
+    ids=["philox", "beta_law", "c_at_least_2^32"],
+)
+def test_bulk_draws_fall_back_to_scalar_draws(n, make_rng, law, fallbacks):
+    _assert_bulk_equals_scalar(n, make_rng, 7, law=law)
+    _assert_bulk_equals_scalar(n, make_rng, 8, law=law, hold_half=True)
+    assert fallbacks == [7, 8]
+
+
+def test_bulk_draws_decode_up_to_the_largest_n_below_2_to_32_pairs(fallbacks):
+    assert chain.pair_count(92682) < 1 << 32 <= chain.pair_count(92683)
+    _assert_bulk_equals_scalar(92682, lambda: np.random.default_rng(4), 9)
+    assert fallbacks == []
+
+
+def test_decoder_guard_passes_on_this_numpy():
+    assert chain._decoder_guard()
+
+
+def test_guard_mismatch_warns_once_and_falls_back(monkeypatch, fallbacks):
+    decode = chain._decode_draws
+
+    def moved(n, bg, size):
+        got = decode(n, bg, size)
+        return None if got is None else (got[0], got[1] * 0.5)
+
+    monkeypatch.setattr(chain, "_BULK_OK", None)
+    monkeypatch.setattr(chain, "_decode_draws", moved)
+    with pytest.warns(RuntimeWarning, match="one at a time"):
+        _assert_bulk_equals_scalar(16, lambda: np.random.default_rng(6), 7)
+    assert chain._BULK_OK is False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_bulk_equals_scalar(16, lambda: np.random.default_rng(6), 8)
+    # after the guard's own scalar reference draws, both calls drew scalar
+    assert fallbacks[-2:] == [7, 8]
+
+
+def test_negative_draw_count_raises():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_step_draw(16, np.random.default_rng(0), size=-1)
+
+
 # ---------------------------------------------------------------- LambdaLaw
 
 
@@ -309,9 +450,10 @@ def test_pairs_at_refuses_int64_overflow():
     [
         lambda rng: EdgeSchedule.sample(3000, 100, rng),
         lambda rng: sample_step_draw(3000, rng),
+        lambda rng: sample_step_draw(3000, rng, size=100),
         lambda rng: pair_from_word(0.5, 3000),
     ],
-    ids=["schedule", "step_draw", "pair_from_word"],
+    ids=["schedule", "step_draw", "step_draws_bulk", "pair_from_word"],
 )
 def test_pair_choice_memory_is_not_quadratic(draw):
     # a table of all n(n-1)/2 pairs at n=3000 would take about 72 MB

@@ -319,3 +319,23 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         EdgeSchedule(1, ())
     assert EdgeSchedule(3, ((1, 2),)).to_lists() == [[1, 2]]
+
+
+def test_decoded_schedule_equals_constructed_schedule():
+    for n, T in ((2, 5), (16, 45), (1024, 700)):
+        sched = EdgeSchedule.sample(n, T, np.random.default_rng(n))
+        i, j = (np.array(col, dtype=np.int64) for col in zip(*sched.pairs))
+        assert EdgeSchedule._from_arrays(n, i, j) == EdgeSchedule(n, sched.pairs) == sched
+        assert all(type(p) is tuple and type(p[0]) is int for p in sched.pairs)
+    assert EdgeSchedule._from_arrays(3, np.empty(0, np.int64), np.empty(0, np.int64)).T == 0
+
+
+@pytest.mark.parametrize(
+    "i, j", [([1, 0], [2, 2]), ([1, 2], [2, 2]), ([1, 3], [2, 2]), ([1, 2], [2, 4])],
+    ids=["i_below_1", "i_equals_j", "i_above_j", "j_above_n"],
+)
+def test_decoded_schedule_checks_its_arrays(i, j):
+    with pytest.raises(ValueError, match="out of range"):
+        EdgeSchedule._from_arrays(3, np.array(i), np.array(j))
+    with pytest.raises(ValueError):
+        EdgeSchedule._from_arrays(1, np.empty(0, np.int64), np.empty(0, np.int64))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from simplex_gibbs import chain
 from simplex_gibbs.chain import SimplexPoint, sample_step_draw, sample_uniform_simplex, sq_distance, step
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.two_stage import (
@@ -80,6 +81,30 @@ def test_proportional_run_matches_reference_bitwise(n):
         assert xa.equals_bitwise(xb) and ya.equals_bitwise(yb)
         assert [z.hex() for z in z_a] == [z.hex() for z in z_b]
         assert rng_a.random() == rng_b.random()
+
+
+def test_proportional_run_draws_once_per_chunk(monkeypatch):
+    sizes = []
+    bulk = chain.sample_step_draw
+
+    def spy(n, rng, law=None, size=None):
+        sizes.append(size)
+        return bulk(n, rng, law, size)
+
+    monkeypatch.setattr(chain, "sample_step_draw", spy)
+    x0, y0 = SimplexPoint.vertex(16, 1), SimplexPoint.center(16)
+    proportional_run(x0, y0, burn_in_steps(16, 4.0), np.random.default_rng(0))
+    assert sizes == [267]
+    sizes.clear()
+    monkeypatch.setattr(chain, "_DRAW_CHUNK", 100)
+    proportional_run(x0, y0, 267, np.random.default_rng(0))
+    assert sizes == [100, 100, 67]
+
+
+def test_proportional_run_refuses_negative_steps():
+    x0, y0 = SimplexPoint.vertex(4, 1), SimplexPoint.center(4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        proportional_run(x0, y0, -5, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------- stage pass
