@@ -25,6 +25,10 @@ Layers, all at n = 16, the attempts and windows on window 1 of master 5:
   - ``schedule_analysis_1024``: one ``analyze_schedule`` of that draw
     (``default_rng(0)``), as the connectivity driver makes it, reading no
     split record;
+  - ``connectivity_trial``: one connectivity trial at n = 1024,
+    ``analyze_schedule(EdgeSchedule.sample(1024, 7098, rng))``, averaged
+    over ``default_rng(0..19)``, with the garbage collector left on as the
+    driver runs it;
   - ``schedule_analysis_16``: one ``analyze_schedule`` of
     ``EdgeSchedule.sample(16, 45)``, the collision stage's schedule, with
     every split record read, averaged over ``default_rng(0..19)``;
@@ -169,6 +173,10 @@ def layers() -> dict:
     ])
     drawn = partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(0))
     out["schedule_analysis_1024"] = (5, lambda: [partitions.analyze_schedule(drawn) for _ in range(5)])
+    out["connectivity_trial"] = (20, lambda: [
+        partitions.analyze_schedule(partitions.EdgeSchedule.sample(1024, 7098, np.random.default_rng(r)))
+        for r in range(20)
+    ])
     stage = [partitions.EdgeSchedule.sample(N, 45, np.random.default_rng(r)) for r in range(20)]
 
     def read_every_record(schedule):

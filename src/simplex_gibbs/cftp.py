@@ -313,12 +313,11 @@ def _walk_window(
         np.concatenate(parts, axis=1)[0]
         for parts in zip(*_draws_backward_batch(master, (replica,), lo, lo + p2, n))
     )
-    schedule = EdgeSchedule._from_arrays(n, ii, jj)
-    analysis = analyze_schedule(schedule)
+    analysis = analyze_schedule(EdgeSchedule(n, np.column_stack((ii, jj))))
     us, coins = us.tolist(), coins.tolist()
     last = p2 if cutoff is None else cutoff - 1
     note = None
-    for s, ((i, j), u) in enumerate(zip(schedule.pairs, us), start=1):
+    for s, (i, j, u) in enumerate(zip(ii.tolist(), jj.tolist(), us), start=1):
         rec = analysis.splits.get(s) if analysis.connected and s <= last else None
         if rec is None:
             shared_step(i, j, u)
@@ -380,9 +379,7 @@ def _walk_windows(
         np.concatenate(parts, axis=1)
         for parts in zip(*_draws_backward_batch(master, replicas, lo, lo + p2, n))
     )
-    analyses = [
-        analyze_schedule(EdgeSchedule._from_arrays(n, i, j)) for i, j in zip(ii, jj)
-    ]
+    analyses = [analyze_schedule(EdgeSchedule(n, e)) for e in np.stack((ii, jj), axis=-1)]
     marked = np.zeros((p2, reps), dtype=bool)
     for r, analysis in enumerate(analyses):
         if analysis.connected:

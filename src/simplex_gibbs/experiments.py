@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats as _st
 
 from .cftp import MAX_DOUBLINGS_DEFAULT, _first_epochs, cftp_sample
 from .chain import (
@@ -234,6 +233,8 @@ def _law_params(law: LambdaLaw | None) -> str:
 
 def _coord_cdf(n: int):
     """Stationary cdf of one coordinate under the uniform law on the simplex."""
+    import scipy.stats as _st
+
     return _st.beta(1, n - 1).cdf
 
 
@@ -287,6 +288,8 @@ def run_simulate(
     run.stat("final_sq_distance_to_center_mean", float(final_sq.mean()), replicas)
     run.stat("max_abs_sum_drift", drift, replicas)
     if law is None or law.kind == "uniform":
+        import scipy.stats as _st
+
         ks = _st.kstest(finals, _coord_cdf(n))
         run.stat("final_first_coordinate_ks_p", float(ks.pvalue), replicas)
     return run.report()
@@ -452,6 +455,8 @@ def run_couple(
             marked_total,
         )
     run.stat("weight_audit_max_abs", audit_max, R)
+    import scipy.stats as _st
+
     ks = _st.kstest(y_final, _coord_cdf(n))
     run.stat("stationary_side_ks_p", float(ks.pvalue), R)
     run.check("coalesced_frequency_at_least_bound", freq, bound, ">=")
@@ -639,6 +644,8 @@ def run_cftp(
     run.total_steps = total
     if traces_path is not None:
         _write_traces(traces_path, rows)
+    import scipy.stats as _st
+
     cdf = _coord_cdf(n)
     pvals = [float(_st.kstest(points[:, k], cdf).pvalue) for k in range(n)]
     # sd of a coordinate mean: coordinate variance (n-1)/(n^2 (n+1))
@@ -695,6 +702,8 @@ def run_discrete(
     violations = 0
     rows = []
     eps = 1e-12  # keep the uniform off 0 and 1; ppf(0) would return -1
+    import scipy.stats as _st
+
     for r in range(replicas):
         rng = _replica_rng(seed, r)
         x = x0.copy()

@@ -16,68 +16,98 @@ The coupled runs in this package attempt a weight-matching coupling exactly
 at the marked times, on the two pieces of the split; everything here is
 pure bookkeeping shared by those runs and by the diagnostics.
 
+An ``EdgeSchedule`` stores its pairs as one read-only (T, 2) int64 array,
+16 bytes per time, checked by one array test in its constructor.
 ``analyze_schedule`` finds the marked times in one backward union-find pass
-of O(T alpha(n) + n) time and O(n) memory, whatever the schedule.  Its
-``splits`` is a read-only mapping whose records are built on first access:
-the record of a marked time with part p(s) costs O(|p(s)| log |p(s)|) when
-it is first read, so a caller that needs only connectivity or the marked
-times pays for no record.
+of O(T alpha(n) + n) time and O(n) memory beyond two int lists of the
+array's columns, whatever the schedule.  The pass stops once the forest
+spans [n], so a connected schedule is read back only to the latest time s
+at which the edges of times s..T connect [n].  Its ``splits`` is a
+read-only mapping whose records are built on first access: the record of a
+marked time with part p(s) costs O(|p(s)| log |p(s)|) when it is first
+read, so a caller that needs only connectivity or the marked times pays for
+no record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from simplex_gibbs.chain import _pairs_at, pair_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class EdgeSchedule:
-    """Length-T sequence of 1-based coordinate pairs, one per time step."""
+    """Length-T sequence of 1-based coordinate pairs, one per time step.
+
+    ``edges`` holds the pairs as one read-only (T, 2) int64 array, row s - 1
+    being the pair of time s.  ``pairs`` is the same schedule as a tuple of
+    (i, j) tuples of Python ints, built on first access.  Two schedules are
+    equal when they have the same n and the same pairs.
+    """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        for s, (i, j) in enumerate(self.pairs, start=1):
-            if not 1 <= i < j <= self.n:
-                raise ValueError(f"bad pair ({i}, {j}) at time {s} for n={self.n}")
+    def __init__(self, n: int, pairs) -> None:
+        """Schedule of a sequence of (i, j) pairs or a (T, 2) integer array.
 
-    @property
-    def T(self) -> int:
-        return len(self.pairs)
-
-    @classmethod
-    def _from_arrays(cls, n: int, i: np.ndarray, j: np.ndarray) -> "EdgeSchedule":
-        """Schedule of decoded pair arrays, checked with one array test.
-
-        The same schedule as the constructor builds from the same pairs,
-        without its per-pair Python check.
+        Raises ValueError for n < 2, a non-integer or boolean dtype, a shape
+        other than (T, 2), or a pair outside 1 <= i < j <= n, naming the
+        first such time.  The pairs are copied, so later writes to the
+        caller's array do not reach the schedule.
         """
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
-        if not ((1 <= i) & (i < j) & (j <= n)).all():
-            raise ValueError(f"decoded pairs out of range for n={n}")
-        schedule = object.__new__(cls)
-        object.__setattr__(schedule, "n", n)
-        object.__setattr__(schedule, "pairs", tuple(zip(i.tolist(), j.tolist())))
-        return schedule
+        a = np.asarray(pairs)
+        if a.shape == (0,):  # an empty sequence, whose dtype numpy cannot infer
+            a = np.empty((0, 2), np.int64)
+        if a.ndim != 2 or a.shape[1] != 2:
+            raise ValueError(f"pairs must have shape (T, 2), got {a.shape}")
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"pairs must be integers, got dtype {a.dtype}")
+        i, j = a[:, 0], a[:, 1]
+        ok = (1 <= i) & (i < j) & (j <= n)
+        if not ok.all():
+            s = int(ok.argmin())
+            raise ValueError(f"pair ({i[s]}, {j[s]}) at time {s + 1} out of range for n={n}")
+        edges = a.astype(np.int64)
+        edges.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+
+    @property
+    def T(self) -> int:
+        return self.edges.shape[0]
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edges.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeSchedule):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges.tobytes()))
 
     @classmethod
     def sample(cls, n: int, T: int, rng: np.random.Generator) -> "EdgeSchedule":
         """Draw T independent uniform unordered pairs."""
         if T < 0:
             raise ValueError("T must be nonnegative")
-        return cls._from_arrays(n, *_pairs_at(n, rng.integers(0, pair_count(n), size=T)))
+        edges = np.empty((T, 2), dtype=np.int64)
+        edges[:, 0], edges[:, 1] = _pairs_at(n, rng.integers(0, pair_count(n), size=T))
+        return cls(n, edges)
 
     def to_lists(self) -> list[list[int]]:
         """JSON form: [[i, j], ...] in time order."""
-        return [[i, j] for i, j in self.pairs]
+        return self.edges.tolist()
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": self.to_lists()}
@@ -85,7 +115,7 @@ class EdgeSchedule:
     @classmethod
     def from_json_dict(cls, d: dict) -> "EdgeSchedule":
         """Inverse of to_json_dict; validates through the constructor."""
-        return cls(int(d["n"]), tuple((int(i), int(j)) for i, j in d["edges"]))
+        return cls(int(d["n"]), d["edges"])
 
 
 @dataclass(frozen=True)
@@ -203,16 +233,24 @@ def analyze_schedule(schedule: EdgeSchedule) -> PartitionAnalysis:
     so a chain only grows at its end, and every component ever formed stays
     a run of the final chains, starting at its root.  A marked time is
     therefore noted in O(1) as its endpoints' roots and component sizes.
+
+    The pass reads the two columns of ``schedule.edges`` as int lists and
+    stops at the (n - 1)-th join: the forest then spans [n], so no earlier
+    time can be marked.  The edges it skips would only halve paths, which
+    moves no root, size or chain, so the records are those of the full pass.
+    A connected uniform random schedule is thus read back only about
+    (n/2) ln n edges from its end, the length at which a random graph on
+    [n] connects; the column lists still cost O(T).
     """
-    n, pairs = schedule.n, schedule.pairs
+    n, edges = schedule.n, schedule.edges
     parent = list(range(n + 1))
     size = [1] * (n + 1)
     tail = list(range(n + 1))
     succ = [0] * (n + 1)
     times: list[int] = []
     rows: list[tuple[int, int, int, int, int, int]] = []
-    for s in range(schedule.T, 0, -1):
-        i, j = pairs[s - 1]
+    ii, jj = edges[:, 0].tolist(), edges[:, 1].tolist()
+    for s, i, j in zip(range(len(ii), 0, -1), reversed(ii), reversed(jj)):
         ri, rj = i, j
         while parent[ri] != ri:
             parent[ri] = parent[parent[ri]]
@@ -231,6 +269,8 @@ def analyze_schedule(schedule: EdgeSchedule) -> PartitionAnalysis:
         size[ri] = si + sj
         succ[tail[ri]] = rj
         tail[ri] = tail[rj]
+        if len(times) == n - 1:
+            break
     times.reverse()
     rows.reverse()
     splits = _LazySplits(dict(zip(times, rows)), parent, succ)

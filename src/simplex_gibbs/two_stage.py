@@ -197,8 +197,8 @@ def two_stage_pass(
         analysis = analyze_schedule(schedule)
     audits: list[MarkedAudit] = []
     failed_at: int | None = None
-    for s in range(1, schedule.T + 1):
-        i, j = schedule.pairs[s - 1]
+    ii, jj = schedule.edges[:, 0].tolist(), schedule.edges[:, 1].tolist()
+    for s, (i, j) in enumerate(zip(ii, jj), start=1):
         rec = analysis.splits.get(s) if analysis.connected else None
         if rec is not None and failed_at is None:
             pre_sup = float(np.max(np.abs(x.values - y.values)))

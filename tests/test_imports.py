@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import simplex_gibbs
@@ -19,3 +22,17 @@ def test_star_import_and_claims_script_load():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_connectivity_does_not_import_scipy_stats():
+    # scipy.stats is most of the package's import time and memory, and only
+    # the drivers with a KS test or a binomial quantile need it
+    code = (
+        "import sys, simplex_gibbs.cli as cli\n"
+        "cli.main(['connectivity', '--n', '8', '--trials', '2'])\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

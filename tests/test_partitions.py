@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -109,10 +111,13 @@ def _analyze_eager(schedule):
 
 
 def _oracle_grid():
-    """Schedules at n in {2, 3, 16, 64, 1024}, T in {0, 1, n, ceil(2 n ln n)}, 20 seeds."""
+    """Schedules at n in {2, 3, 16, 64, 1024}: 20 seeds of each length
+    T in {0, 1, n, ceil(2 n ln n)}, and 5 of T = ceil(20 n ln n), which
+    connects far from time 1, so the backward pass stops early on it."""
     for n in (2, 3, 16, 64, 1024):
-        for T in sorted({0, 1, n, math.ceil(2 * n * math.log(n))}):
-            for seed in range(20):
+        long = math.ceil(20 * n * math.log(n))
+        for T in sorted({0, 1, n, math.ceil(2 * n * math.log(n)), long}):
+            for seed in range(5 if T == long else 20):
                 yield EdgeSchedule.sample(n, T, np.random.default_rng([n, T, seed]))
 
 
@@ -187,6 +192,22 @@ def test_analysis_memory_stays_linear_at_n4096():
     # of both pieces and their union at every marked time
     assert peak < 8 * 2**20, peak
     assert len(ana.marked) <= n - 1
+
+
+def test_prefix_before_spanning_suffix_shifts_marked_times():
+    # once the suffix spans [n], no prefix time can be marked, and the pass
+    # that stops there yields the suffix's own records, shifted in time
+    for n, L in ((2, 5), (16, 300), (64, 40), (1024, 5000)):
+        rng = np.random.default_rng([n, L])
+        suffix = EdgeSchedule.sample(n, math.ceil(3 * n * math.log(n)) + 1, rng)
+        short = analyze_schedule(suffix)
+        assert short.connected
+        prefix = EdgeSchedule.sample(n, L, rng)
+        long = analyze_schedule(EdgeSchedule(n, np.concatenate((prefix.edges, suffix.edges))))
+        assert long.marked == tuple(s + L for s in short.marked)
+        assert min(long.marked) > L
+        for s in short.marked:
+            assert long.splits[s + L] == dataclasses.replace(short.splits[s], time=s + L)
 
 
 # ------------------------------------------------------------- frozen
@@ -318,16 +339,32 @@ def test_schedule_validation():
         EdgeSchedule(3, ((1, 4),))
     with pytest.raises(ValueError):
         EdgeSchedule(1, ())
+    with pytest.raises(ValueError, match="time 2 out of range"):
+        EdgeSchedule(3, ((1, 2), (2, 2), (3, 1)))
     assert EdgeSchedule(3, ((1, 2),)).to_lists() == [[1, 2]]
+    # non-integer pairs are refused, even when they hold whole numbers
+    for pairs in (((1.5, 2),), ((1.0, 2.0),), np.ones((1, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="integers"):
+            EdgeSchedule(3, pairs)
+    for pairs in (((1, 2, 3),), (1, 2), np.ones((1, 2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="shape"):
+            EdgeSchedule(3, pairs)
+    # numpy integers serialize as Python ints
+    wide = EdgeSchedule(3, ((np.int64(1), np.int64(3)),))
+    assert json.loads(json.dumps(wide.to_json_dict())) == {"n": 3, "edges": [[1, 3]]}
+    assert wide == EdgeSchedule(3, ((1, 3),))
 
 
 def test_decoded_schedule_equals_constructed_schedule():
     for n, T in ((2, 5), (16, 45), (1024, 700)):
         sched = EdgeSchedule.sample(n, T, np.random.default_rng(n))
-        i, j = (np.array(col, dtype=np.int64) for col in zip(*sched.pairs))
-        assert EdgeSchedule._from_arrays(n, i, j) == EdgeSchedule(n, sched.pairs) == sched
+        assert EdgeSchedule(n, sched.edges) == EdgeSchedule(n, sched.pairs) == sched
+        assert hash(EdgeSchedule(n, sched.pairs)) == hash(sched)
+        assert sched.edges.shape == (T, 2) and sched.edges.dtype == np.int64
         assert all(type(p) is tuple and type(p[0]) is int for p in sched.pairs)
-    assert EdgeSchedule._from_arrays(3, np.empty(0, np.int64), np.empty(0, np.int64)).T == 0
+    empty = EdgeSchedule(3, np.empty((0, 2), np.int64))
+    assert empty.T == 0 and empty == EdgeSchedule(3, ()) and empty.pairs == ()
+    assert EdgeSchedule(3, ((1, 2),)) != EdgeSchedule(4, ((1, 2),))
 
 
 @pytest.mark.parametrize(
@@ -335,7 +372,19 @@ def test_decoded_schedule_equals_constructed_schedule():
     ids=["i_below_1", "i_equals_j", "i_above_j", "j_above_n"],
 )
 def test_decoded_schedule_checks_its_arrays(i, j):
-    with pytest.raises(ValueError, match="out of range"):
-        EdgeSchedule._from_arrays(3, np.array(i), np.array(j))
+    with pytest.raises(ValueError, match="time 2 out of range"):
+        EdgeSchedule(3, np.column_stack((i, j)))
     with pytest.raises(ValueError):
-        EdgeSchedule._from_arrays(1, np.empty(0, np.int64), np.empty(0, np.int64))
+        EdgeSchedule(1, np.empty((0, 2), np.int64))
+
+
+def test_edges_are_read_only():
+    source = np.array([[1, 2], [2, 3]])
+    sched = EdgeSchedule(3, source)
+    assert not sched.edges.flags.writeable
+    with pytest.raises(ValueError):
+        sched.edges[0, 0] = 2
+    # the schedule holds its own copy of the caller's array
+    source[0] = (1, 3)
+    assert sched.pairs == ((1, 2), (2, 3))
+    assert source.flags.writeable
