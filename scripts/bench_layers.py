@@ -11,15 +11,19 @@ repeat), the median and the quartiles of the repeats.  Rows are merged into
 the output file under their label, replacing older rows of that label, and
 the file records the machine facts of the last run.
 
-Layers, all at n = 16, the attempts and windows on window 1 of master 5:
+Layers, all at n = 16, the attempts and windows on window 1 of master 5,
+between two load probes:
+  - ``load_probe_first``: a fixed pure-Python loop that uses nothing of
+    ``simplex_gibbs``, timed before every other row, so load drift between
+    two invocations of the script shows in the file as a change of this
+    row;
   - ``exact_split``: one scalar pair split, over a fixed set of 1000
     fractions and pair sums;
   - ``shared_step``: one shared step of all n columns of a
     ``TransitionMatrix``, over the first 1000 draws of window 1;
   - ``decode``: reading and decoding window 1 of replica 0 into pairs,
-    fractions and coins, phase by phase as the commit's walk reads it:
-    chunk by chunk through ``streams._draws_backward`` where it exists,
-    else row by row with ``pair_from_word`` and ``float``;
+    fractions and coins, phase by phase, chunk by chunk through
+    ``streams._draws_backward_batch`` with the one replica;
   - ``schedule_sample``: one ``EdgeSchedule.sample(1024, 7098)``, the
     connectivity driver's draw at n = 1024, epsilon = 0.5;
   - ``schedule_analysis_1024``: one ``analyze_schedule`` of that draw
@@ -33,18 +37,9 @@ Layers, all at n = 16, the attempts and windows on window 1 of master 5:
     ``EdgeSchedule.sample(16, 45)``, the collision stage's schedule, with
     every split record read, averaged over ``default_rng(0..19)``;
   - ``marked_attempt_kernel``: one marked-time attempt of all n vertex
-    columns against the driver with ``couplings._subset_couple_columns``
-    (absent before that kernel existed), called with the signature of the
-    commit being timed;
+    columns against the driver with ``couplings._subset_couple_columns``;
   - ``marked_attempt_one_column``: the same attempt for the first column
-    alone, as the replay and the collision stage make it: the kernel with
-    one column where the scalar ``subset_couple_step`` is gone, else one
-    ``subset_couple_step`` call on points validated in the call, as the
-    replay made it;
-  - ``marked_attempt_scalar``: the n-column attempt as n
-    ``subset_couple_step`` calls on points validated in the call, as the
-    tracked run made it before the kernel (only where
-    ``subset_couple_step`` exists);
+    alone, as the replay and the collision stage make it;
   - ``run_epoch``: one tracked window, averaged over replicas 0..7;
   - ``propagate_through_epoch``: one replay of a point through a window;
   - ``cftp_sample``: one exact sample, averaged over replicas 0..7;
@@ -61,16 +56,17 @@ Layers, all at n = 16, the attempts and windows on window 1 of master 5:
     vertex and the barycenter, over the 267 steps of the C = 1 burn-in,
     averaged over the generators ``default_rng(0..7)``;
   - ``step_draws_bulk``: the draws of those 267 steps, one
-    ``sample_step_draw(16, rng, size=267)`` where it takes a size, else 267
-    scalar ``sample_step_draw`` calls, as the burn-in made them.
-Run it single-threaded on an otherwise idle machine, one label at a time.
+    ``sample_step_draw(16, rng, size=267)``;
+  - ``load_probe_last``: the load probe again, timed after every other row.
+The script calls only API that every commit since the array schedules
+has.  Run it single-threaded on an otherwise idle machine, one label at a
+time, and compare two labels' rows against their load probes.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import json
 import os
 import platform
@@ -112,30 +108,34 @@ def machine_facts() -> dict:
 def marked_time_state(replica: int):
     """Tracked state of window (N, MASTER, replica, 1) at its first marked time.
 
-    Returns (columns, driver, split record, u, coin), built only from
-    functions every version of the package has.
+    Returns (columns, driver, split record, u, coin).  The blocks are read
+    with ``read_blocks`` and decoded with ``_pairs_from_words``, in time
+    order.
     """
     cftp = importlib.import_module("simplex_gibbs.cftp")
     chain = importlib.import_module("simplex_gibbs.chain")
     streams = importlib.import_module("simplex_gibbs.streams")
     partitions = importlib.import_module("simplex_gibbs.partitions")
     lo, hi, _p1, p2 = cftp.window_geometry(N, 1)
+
+    def draws(a, b):
+        rows = streams.read_blocks(MASTER, replica, a, b)[::-1]
+        i, j = streams._pairs_from_words(rows[:, 0], N)
+        return list(zip(i.tolist(), j.tolist(), rows[:, 1].tolist(), rows[:, 2].tolist()))
+
     tm = cftp.TransitionMatrix.identity(N)
     center = chain.SimplexPoint.center(N).values.copy()
-    for _b, row in streams.iter_blocks_backward(MASTER, replica, lo + p2, hi):
-        i, j = streams.pair_from_word(float(row[0]), N)
-        tm.shared_step(i, j, float(row[1]))
-        chain._apply_step(center, i - 1, j - 1, float(row[1]))
-    rows = streams.read_blocks(MASTER, replica, lo, lo + p2)[::-1]
-    pairs = [streams.pair_from_word(float(r[0]), N) for r in rows]
-    analysis = partitions.analyze_schedule(partitions.EdgeSchedule(N, tuple(pairs)))
+    for i, j, lam, _coin in draws(lo + p2, hi):
+        tm.shared_step(i, j, lam)
+        chain._apply_step(center, i - 1, j - 1, lam)
+    closing = draws(lo, lo + p2)
+    analysis = partitions.analyze_schedule(partitions.EdgeSchedule(N, [(i, j) for i, j, _u, _c in closing]))
     first = analysis.marked[0]
-    for s in range(1, first):
-        (i, j), u = pairs[s - 1], float(rows[s - 1][1])
+    for i, j, u, _coin in closing[: first - 1]:
         tm.shared_step(i, j, u)
         chain._apply_step(center, i - 1, j - 1, u)
-    row = rows[first - 1]
-    return tm.mat.copy(), center, analysis.splits[first], float(row[1]), float(row[2])
+    _i, _j, u, coin = closing[first - 1]
+    return tm.mat.copy(), center, analysis.splits[first], u, coin
 
 
 def layers() -> dict:
@@ -152,20 +152,17 @@ def layers() -> dict:
     splits = list(zip(gen.random(1000).tolist(), (2.0 * gen.random(1000)).tolist()))
     out["exact_split"] = (len(splits), lambda: [chain.exact_split(lam, s) for lam, s in splits])
     streams = importlib.import_module("simplex_gibbs.streams")
-    draws = [(*streams.pair_from_word(float(row[0]), N), float(row[1]))
-             for row in streams.read_blocks(MASTER, 0, 0, 1000)]
+    rows = streams.read_blocks(MASTER, 0, 0, 1000)
+    ii, jj = streams._pairs_from_words(rows[:, 0], N)
+    draws = list(zip(ii.tolist(), jj.tolist(), rows[:, 1].tolist()))
     tm = cftp.TransitionMatrix.identity(N)
     out["shared_step"] = (len(draws), lambda: [tm.shared_step(i, j, lam) for i, j, lam in draws])
     lo, hi, _p1, p2 = cftp.window_geometry(N, 1)
     phases = ((lo + p2, hi), (lo, lo + p2))
-    chunked = getattr(streams, "_draws_backward", None)
-    if chunked is not None:
-        def decode():
-            return [list(chunked(MASTER, 0, a, b, N)) for a, b in phases]
-    else:
-        def decode():
-            return [[(streams.pair_from_word(float(row[0]), N), float(row[1]), float(row[2]))
-                     for row in streams.read_blocks(MASTER, 0, a, b)[::-1]] for a, b in phases]
+
+    def decode():
+        return [list(streams._draws_backward_batch(MASTER, (0,), a, b, N)) for a, b in phases]
+
     out["decode"] = (20, lambda: [decode() for _ in range(20)])
     partitions = importlib.import_module("simplex_gibbs.partitions")
     out["schedule_sample"] = (20, lambda: [
@@ -184,32 +181,13 @@ def layers() -> dict:
         return [analysis.splits[s] for s in analysis.marked]
 
     out["schedule_analysis_16"] = (len(stage), lambda: [read_every_record(s) for s in stage])
-    scalar = getattr(couplings, "subset_couple_step", None)
-    if scalar is not None:
-        def scalar_attempt(columns):
-            y = chain.SimplexPoint(center)
-            for v in range(columns):
-                scalar(chain.SimplexPoint(cols[:, v]), y, rec.i, rec.j,
-                       rec.piece_i, rec.piece_j, u, coin, lambda: 0.5)
 
-        out["marked_attempt_scalar"] = (20, lambda: [scalar_attempt(N) for _ in range(20)])
-        out["marked_attempt_one_column"] = (200, lambda: [scalar_attempt(1) for _ in range(200)])
-    kernel = getattr(couplings, "_subset_couple_columns", None)
-    if kernel is not None:
-        if "rec" in inspect.signature(kernel).parameters:
-            def attempt(xs):
-                return kernel(xs, center, rec, u, coin, lambda: 0.5)
-        else:
-            pi0 = [l - 1 for l in rec.piece_i]
-            pj0 = [l - 1 for l in rec.piece_j]
+    def attempt(xs):
+        return couplings._subset_couple_columns(xs, center, rec, u, coin, lambda: 0.5)
 
-            def attempt(xs):
-                return kernel(xs, center, rec.i - 1, rec.j - 1, pi0, pj0, u, coin)
-
-        out["marked_attempt_kernel"] = (200, lambda: [attempt(cols) for _ in range(200)])
-        if scalar is None:
-            first = cols[:, :1].copy()
-            out["marked_attempt_one_column"] = (200, lambda: [attempt(first) for _ in range(200)])
+    first = cols[:, :1].copy()
+    out["marked_attempt_kernel"] = (200, lambda: [attempt(cols) for _ in range(200)])
+    out["marked_attempt_one_column"] = (200, lambda: [attempt(first) for _ in range(200)])
     certified = next(r for r in (cftp.run_epoch(N, MASTER, k, 1) for k in range(40)) if r.coalesced)
     point = chain.SimplexPoint.vertex(N, 1)
     out["run_epoch"] = (len(REPLICAS), lambda: [cftp.run_epoch(N, MASTER, r, 1) for r in REPLICAS])
@@ -229,16 +207,17 @@ def layers() -> dict:
     out["burn_in_step"] = (len(REPLICAS) * BURN_IN, lambda: [
         two_stage.proportional_run(x0, y0, BURN_IN, np.random.default_rng(r)) for r in REPLICAS
     ])
-    draw = chain.sample_step_draw
-    if "size" in inspect.signature(draw).parameters:
-        def burn_in_draws(rng):
-            return draw(N, rng, size=BURN_IN)
-    else:
-        def burn_in_draws(rng):
-            return [draw(N, rng) for _ in range(BURN_IN)]
     rng = np.random.default_rng(0)
-    out["step_draws_bulk"] = (50, lambda: [burn_in_draws(rng) for _ in range(50)])
+    out["step_draws_bulk"] = (50, lambda: [chain.sample_step_draw(N, rng, size=BURN_IN) for _ in range(50)])
     return out
+
+
+def load_probe() -> int:
+    """A fixed pure-Python loop, independent of the package: a machine-load gauge."""
+    total = 0
+    for k in range(200_000):
+        total += k * k % 7
+    return total
 
 
 def run_cftp_chunks() -> None:
@@ -305,11 +284,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, help="JSON file to merge the rows into")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    rows = [
+    rows = [{"label": args.label, "layer": "load_probe_first", **time_layer(1, load_probe)}]
+    rows += [
         {"label": args.label, "layer": name, **time_layer(calls, fn)}
         for name, (calls, fn) in layers().items()
     ]
     rows.append({"label": args.label, "layer": "run_cftp_marked_share", **marked_share()})
+    rows.append({"label": args.label, "layer": "load_probe_last", **time_layer(1, load_probe)})
     for r in rows:
         scale, unit = (1e6, "us") if r["unit"] == "s/call" else (1.0, "")
         print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * scale:10.3f} {unit:2}"

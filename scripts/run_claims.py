@@ -14,15 +14,12 @@ import math
 import sys
 
 import numpy as np
-import scipy.stats as st
 
-from simplex_gibbs.cftp import TransitionMatrix, evolve_matrix
+from simplex_gibbs.cftp import TransitionMatrix
 from simplex_gibbs.chain import (
-    SimplexPoint,
     contraction_factor,
     sample_step_draw,
     sample_uniform_simplex,
-    sq_distance,
     step,
 )
 from simplex_gibbs.couplings import couple_lambdas, success_probability
@@ -189,14 +186,14 @@ def claim_matrix_linearity(seed: int) -> None:
     tm = TransitionMatrix.identity(n)
     draws = [sample_step_draw(n, rng) for _ in range(steps)]
     for d in draws:
-        tm = evolve_matrix(tm, d)
+        tm.shared_step(d.i, d.j, d.lam)
     worst = 0.0
     for _ in range(10):
         x = sample_uniform_simplex(n, rng)
         direct = x
         for d in draws:
             direct = step(direct, d)
-        worst = max(worst, float(np.max(np.abs(tm.apply(x.values) - direct.values))))
+        worst = max(worst, float(np.max(np.abs(tm.mat @ x.values - direct.values))))
     verdict(
         "transition matrix tracks the chain",
         worst < 1e-12,

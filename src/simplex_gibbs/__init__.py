@@ -6,7 +6,6 @@ from simplex_gibbs.cftp import (
     EpochRecord,
     TransitionMatrix,
     cftp_sample,
-    evolve_matrix,
     propagate_through_epoch,
     run_epoch,
 )
@@ -15,7 +14,6 @@ from simplex_gibbs.chain import (
     SimplexPoint,
     StepDraw,
     contraction_factor,
-    evolve,
     exact_split,
     sample_step_draw,
     sample_uniform_simplex,
@@ -64,8 +62,6 @@ __all__ = [
     "contraction_factor",
     "couple_lambdas",
     "coupling_time",
-    "evolve",
-    "evolve_matrix",
     "exact_split",
     "full_coupling_run",
     "propagate_through_epoch",

@@ -55,10 +55,10 @@ from functools import cache, partial
 
 import numpy as np
 
-from .chain import SimplexPoint, StepDraw, _apply_step, exact_split
+from .chain import SimplexPoint, _apply_step
 from .couplings import _subset_couple_columns
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
-from .streams import _draws_backward, _draws_backward_batch, aux_uniform
+from .streams import _draws_backward_batch, aux_uniform
 
 # first-window phase lengths in units of n * ln(n)
 PHASE1_MULT = 12
@@ -113,15 +113,15 @@ class TransitionMatrix:
 
     Started from the identity, column v holds the current state of the
     chain started at vertex e_(v+1).  Because each shared step acts
-    linearly on the state, the matrix applied to any starting point
-    reproduces (up to accumulated rounding, not bitwise) the chain run
-    directly from that point with the same draws.  A shared step is one
-    ``chain._apply_step`` on the whole matrix, the same exact split as a
-    single chain applied entrywise, so each column IS the single-chain
-    trajectory of its start, bit for bit.  A replay carries its one
-    replayed chain as a one-column matrix.  While a window is walked, the
-    driver rides as one more column, the last, so a shared step moves the
-    followers and the driver in one update.
+    linearly on the state, ``mat @ x`` for any starting point x reproduces
+    (up to accumulated rounding, not bitwise) the chain run directly from
+    x with the same draws.  A shared step is one ``chain._apply_step`` on
+    the whole matrix, the same exact split as a single chain applied
+    entrywise, so each column IS the single-chain trajectory of its start,
+    bit for bit.  A replay carries its one replayed chain as a one-column
+    matrix.  While a window is walked, the driver rides as one more column,
+    the last, so a shared step moves the followers and the driver in one
+    update.
     """
 
     mat: np.ndarray
@@ -140,24 +140,6 @@ class TransitionMatrix:
         """Apply one shared step with pair (i, j), 1-based, to all columns."""
         _apply_step(self.mat, i - 1, j - 1, lam)
 
-    def apply(self, x) -> np.ndarray:
-        """Image of a starting point under the composed map (one matvec)."""
-        v = x.values if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
-        return self.mat @ v
-
-
-def evolve_matrix(tm: TransitionMatrix, draw: StepDraw) -> TransitionMatrix:
-    """One shared step applied to a copy of the matrix.
-
-    Rows i and j become lam * (row_i + row_j) and (1 - lam) * (row_i + row_j)
-    entrywise through the exact split; all other rows are untouched.
-    """
-    if draw.j > tm.n:
-        raise ValueError(f"pair ({draw.i}, {draw.j}) out of range for n={tm.n}")
-    out = TransitionMatrix(np.array(tm.mat))
-    out.shared_step(draw.i, draw.j, draw.lam)
-    return out
-
 
 @dataclass(frozen=True)
 class FailureNote:
@@ -170,7 +152,8 @@ class FailureNote:
     fraction left [0, 1]), "thinned" (the coin exceeded min(1, m)),
     "degenerate" (a pair sum gave no usable relation) or "nudge_refused"
     (the relation held but no exact piece-weight match was found within
-    ENFORCE_TOL).  It is a diagnostic and is not part of the JSON record.
+    ENFORCE_TOL).  ``EpochRecord.to_json_dict`` writes every field of the
+    note except reason.
     """
 
     time: int
@@ -293,9 +276,9 @@ def _walk_window(
     after it is read.  A recorded cutoff is the replay: its column commits
     every outcome and the walk runs to the end.  With hi = lo + p2 the
     opening phase is empty and the walk starts the closing phase from the
-    given columns.  Blocks are read and decoded in bounded chunks (see
-    ``streams._draws_backward``); the closing phase's draws are kept for
-    its schedule analysis.
+    given columns.  Blocks are read and decoded in bounded chunks by
+    ``streams._draws_backward_batch`` with this one replica, row 0 of each
+    chunk; the closing phase's draws are kept for its schedule analysis.
 
     tm is stepped in place.  Returns the schedule's analysis, the driver
     state and the failure note.  An attempt's outcome is written back only
@@ -305,8 +288,8 @@ def _walk_window(
     n, cols = tm.mat.shape
     walk = TransitionMatrix(np.column_stack((tm.mat, SimplexPoint.center(n).values)))
     mat, shared_step = walk.mat, walk.shared_step
-    for ii, jj, lams, _coins in _draws_backward(master, replica, lo + p2, hi, n):
-        for i, j, lam in zip(ii, jj, lams):
+    for ii, jj, lams, _coins in _draws_backward_batch(master, (replica,), lo + p2, hi, n):
+        for i, j, lam in zip(ii[0].tolist(), jj[0].tolist(), lams[0].tolist()):
             shared_step(i, j, lam)
 
     ii, jj, us, coins = (
@@ -334,17 +317,6 @@ def _walk_window(
     return analysis, mat[:, cols].copy(), note
 
 
-def _step_rows(flat: np.ndarray, ri: np.ndarray, rj: np.ndarray, lam: np.ndarray) -> None:
-    """One shared step of several matrices whose rows are stacked in flat.
-
-    Matrix r steps its rows ri[r] and rj[r] of flat with fraction lam[r, 0]:
-    one gather, the exact split of ``chain._apply_step`` entrywise, and one
-    scatter for all of them.  The rows must be distinct.
-    """
-    s = flat[ri] + flat[rj]
-    flat[ri], flat[rj] = exact_split(lam, s)
-
-
 def _walk_windows(
     starts: np.ndarray, master: int, replicas, lo: int, hi: int, p2: int
 ) -> list[tuple[PartitionAnalysis, np.ndarray, np.ndarray, FailureNote | None]]:
@@ -353,9 +325,9 @@ def _walk_windows(
     starts is an (R, n, C) array: replica replicas[r] walks from the C
     columns starts[r], with the barycenter driver as one more column, all R
     matrices in one (R, n, C + 1) array.  A shared step of all of them is
-    one ``_step_rows``.  Each replica's blocks are decoded by
-    ``streams._draws_backward_batch`` and its closing schedule analyzed on
-    its own.  At each closing time the live replicas without an attempt
+    one ``chain._apply_step`` on their stacked rows.  Each replica's blocks
+    are decoded by ``streams._draws_backward_batch`` and its closing
+    schedule analyzed on its own.  At each closing time the live replicas without an attempt
     there take the shared step together, and each replica marked there
     attempts on its own matrix with ``_subset_couple_columns``.  A replica
     stops at its first failed attempt, as the tracked walk does, and keeps
@@ -373,7 +345,7 @@ def _walk_windows(
     base = np.arange(reps)[:, None] * n - 1  # 1-based row i of matrix r is flat row base[r] + i
     for ii, jj, lams, _coins in _draws_backward_batch(master, replicas, lo + p2, hi, n):
         for ri, rj, lam in zip((ii + base).T, (jj + base).T, lams.T[:, :, None]):
-            _step_rows(flat, ri, rj, lam)
+            _apply_step(flat, ri, rj, lam)
 
     ii, jj, us, coins = (
         np.concatenate(parts, axis=1)
@@ -391,7 +363,7 @@ def _walk_windows(
         t = s - 1
         attempts = marked[t] & live
         step = np.flatnonzero(live & ~attempts)
-        _step_rows(flat, rows_i[t, step], rows_j[t, step], us[step, t][:, None])
+        _apply_step(flat, rows_i[t, step], rows_j[t, step], us[step, t][:, None])
         for r in np.flatnonzero(attempts).tolist():
             aux = cache(partial(aux_uniform, master, replicas[r], lo + p2 - s))
             xs, y, cpls = _subset_couple_columns(

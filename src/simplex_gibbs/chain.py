@@ -273,7 +273,7 @@ class LambdaLaw:
         return 0.25 + 0.25 / (2.0 * self.a + 1.0)
 
 
-# default law of sample_step_draw and evolve, built once
+# default law of sample_step_draw, built once
 _UNIFORM = LambdaLaw()
 
 # steps drawn per sample_step_draw call of the stepping loops (``_step_draws``)
@@ -468,13 +468,17 @@ def _step_draws(n: int, steps: int, rng: np.random.Generator, law: LambdaLaw | N
         yield from zip((i - 1).tolist(), (j - 1).tolist(), lam.tolist())
 
 
-def _apply_step(arr: np.ndarray | list[float], i0: int, j0: int, lam: float) -> None:
+def _apply_step(arr: np.ndarray | list[float], i0: int | np.ndarray, j0: int | np.ndarray, lam) -> None:
     """In-place pair update of rows i0 and j0 (0-based) with fraction lam.
 
     arr is a float list, a 1-D array or an (n, C) array of C chains held as
     columns, each column updated through the exact split entrywise.  Python
     floats and np.float64 share IEEE double arithmetic, so every shape
-    holding the same values is updated to the same bits.
+    holding the same values is updated to the same bits.  On an array, i0
+    and j0 may also be equal-length index arrays and lam an (R, 1) array:
+    one gather, split and scatter then steps R matrices whose rows are
+    stacked in arr, matrix r its rows i0[r] and j0[r] with lam[r, 0].  The
+    rows must be distinct, or a scatter would overwrite another's update.
     """
     s = arr[i0] + arr[j0]
     a, b = exact_split(lam, s)
@@ -493,19 +497,6 @@ def step(x: SimplexPoint, draw: StepDraw) -> SimplexPoint:
     arr = np.array(x.values)
     _apply_step(arr, draw.i - 1, draw.j - 1, draw.lam)
     return SimplexPoint(arr)
-
-
-def evolve(
-    x: SimplexPoint,
-    steps: int,
-    rng: np.random.Generator,
-    law: LambdaLaw | None = None,
-) -> SimplexPoint:
-    """Run the chain for a number of steps and return the final point."""
-    xs = x.values.tolist()
-    for i0, j0, lam in _step_draws(x.n, steps, rng, law):
-        _apply_step(xs, i0, j0, lam)
-    return SimplexPoint(xs)
 
 
 def sample_uniform_simplex(n: int, rng: np.random.Generator) -> SimplexPoint:

@@ -56,11 +56,15 @@ class EdgeSchedule:
     def __init__(self, n: int, pairs) -> None:
         """Schedule of a sequence of (i, j) pairs or a (T, 2) integer array.
 
-        Raises ValueError for n < 2, a non-integer or boolean dtype, a shape
-        other than (T, 2), or a pair outside 1 <= i < j <= n, naming the
-        first such time.  The pairs are copied, so later writes to the
-        caller's array do not reach the schedule.
+        Raises ValueError for an n that is not an integer (a bool included)
+        or is below 2, a non-integer or boolean dtype, a shape other than
+        (T, 2), or a pair outside 1 <= i < j <= n, naming the first such
+        time.  n is stored as a Python int.  The pairs are copied, so later
+        writes to the caller's array do not reach the schedule.
         """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        n = int(n)
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         a = np.asarray(pairs)
@@ -115,7 +119,7 @@ class EdgeSchedule:
     @classmethod
     def from_json_dict(cls, d: dict) -> "EdgeSchedule":
         """Inverse of to_json_dict; validates through the constructor."""
-        return cls(int(d["n"]), d["edges"])
+        return cls(d["n"], d["edges"])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ advance(2 * block) and the block's doubles are then read in order.  Word 0
 drives the coordinate-pair choice, word 1 the shared or driver fraction,
 word 2 the thinning coin; the remaining five words are reserved.  Word u
 picks pair number min(c - 1, floor(u * c)) of the c = n(n-1)/2 pairs in
-row-major order (1, 2), (1, 3), ..., (n-1, n); see ``pair_from_word``.
+row-major order (1, 2), (1, 3), ..., (n-1, n); see ``_pairs_from_words``.
+``_draws_backward_batch`` reads and decodes a window's blocks in time order,
+in bounded chunks, for one replica or several at once.
 
 A second keyed stream supplies the one remainder uniform a failed coupling
 attempt may need at a given block.  It is derived from the block index, not
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import _pair_at, _pairs_at
+from .chain import _pairs_at
 
 WORDS_PER_STEP = 8
 _ADVANCE_PER_BLOCK = WORDS_PER_STEP // 4  # Philox yields 4 words per counter tick
@@ -65,43 +67,15 @@ def read_blocks(master: int, replica: int, lo: int, hi: int) -> np.ndarray:
     return g.random((hi - lo) * WORDS_PER_STEP).reshape(hi - lo, WORDS_PER_STEP)
 
 
-def iter_blocks_backward(
-    master: int, replica: int, lo: int, hi: int, chunk: int = 1 << 16
-):
-    """Yield (block, row) pairs for blocks hi-1 down to lo, reading in chunks.
-
-    This is time order for a window covering blocks [lo, hi): the chunking
-    keeps memory bounded for very deep windows.
-    """
-    top = hi
-    while top > lo:
-        bottom = max(lo, top - chunk)
-        rows = read_blocks(master, replica, bottom, top)
-        for b in range(top - 1, bottom - 1, -1):
-            yield b, rows[b - bottom]
-        top = bottom
-
-
-def _draws_backward(master: int, replica: int, lo: int, hi: int, n: int):
+def _draws_backward_batch(master: int, replicas, lo: int, hi: int, n: int):
     """Yield the decoded draws of blocks hi-1 down to lo, one chunk at a time.
 
-    Each chunk of at most ``_CHUNK_BLOCKS`` blocks is read once and decoded
-    once, into four lists in time order: the pairs' i and j (1-based, as
-    ``pair_from_word`` gives them), the fractions (word 1) and the coins
-    (word 2).
-    """
-    for i, j, lams, coins in _draws_backward_batch(master, (replica,), lo, hi, n):
-        yield i[0].tolist(), j[0].tolist(), lams[0].tolist(), coins[0].tolist()
-
-
-def _draws_backward_batch(master: int, replicas, lo: int, hi: int, n: int):
-    """``_draws_backward`` for several replicas at once, as (R, L) arrays.
-
-    Each chunk reads the replicas' blocks with ``read_blocks`` one replica
-    at a time and keeps only the three words a walk uses.  Row r of each
-    array belongs to replicas[r]; columns run in time order.  Yields
-    (i, j, lams, coins): int64 pairs (1-based) and float64 fractions and
-    coins.
+    Each chunk of at most ``_CHUNK_BLOCKS`` blocks reads the replicas'
+    blocks with ``read_blocks`` one replica at a time, keeps only the three
+    words a walk uses and decodes them once, as (R, L) arrays: row r
+    belongs to replicas[r], and columns run in time order.  Yields
+    (i, j, lams, coins): the pairs (word 0, 1-based int64, decoded by
+    ``_pairs_from_words``), the fractions (word 1) and the coins (word 2).
     """
     while hi > lo:
         bottom = max(lo, hi - _CHUNK_BLOCKS)
@@ -118,17 +92,12 @@ def aux_uniform(master: int, replica: int, block: int) -> float:
     return float(_keyed_philox([master, replica, AUX_TAG, block]).random())
 
 
-def pair_from_word(u: float, n: int) -> tuple[int, int]:
-    """Map one uniform double u in [0, 1) to a 1-based coordinate pair.
-
-    With c = n(n-1)/2 the word picks pair number min(c - 1, floor(u * c)) in
-    row-major order (1, 2), (1, 3), ..., (1, n), (2, 3), ..., (n-1, n).
-    """
-    c = n * (n - 1) // 2
-    return _pair_at(n, min(c - 1, int(u * c)))
-
-
 def _pairs_from_words(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_from_word`` over an array of words: (i, j) as int64 arrays."""
+    """Map uniform doubles u in [0, 1) to 1-based coordinate pairs.
+
+    With c = n(n-1)/2 each word picks pair number min(c - 1, floor(u * c))
+    in row-major order (1, 2), (1, 3), ..., (1, n), (2, 3), ..., (n-1, n).
+    Returns (i, j) as int64 arrays of u's shape.
+    """
     c = n * (n - 1) // 2
     return _pairs_at(n, np.minimum(c - 1, (u * c).astype(np.int64)))

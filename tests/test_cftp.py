@@ -16,6 +16,7 @@ from simplex_gibbs.chain import (
     SimplexPoint,
     StepDraw,
     _apply_step,
+    _pair_at,
     sample_step_draw,
     sample_uniform_simplex,
     step,
@@ -29,7 +30,6 @@ from simplex_gibbs.cftp import (
     _walk_window,
     _walk_windows,
     cftp_sample,
-    evolve_matrix,
     phase1_steps,
     phase2_steps,
     propagate_through_epoch,
@@ -41,10 +41,9 @@ from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.streams import (
     WORDS_PER_STEP,
     _pairs_from_words,
+    _draws_backward_batch,
     aux_uniform,
     generator_at_block,
-    iter_blocks_backward,
-    pair_from_word,
     read_blocks,
 )
 
@@ -87,17 +86,23 @@ def test_read_blocks_matches_sequential_doubles():
 
 
 def test_backward_iteration_is_chunk_invariant(monkeypatch):
-    whole = read_blocks(11, 0, 3, 40)
-    # the decoded draws of each row: pair, fraction and coin
-    draws = [(*pair_from_word(float(whole[b - 3, 0]), 16), float(whole[b - 3, 1]),
-              float(whole[b - 3, 2])) for b in range(39, 2, -1)]
+    replicas = (0, 4)
+    # each replica's decoded draws of blocks 39 down to 3, one row at a time:
+    # pair, fraction and coin
+    draws = [
+        [(*pair_from_word(float(row[0]), 16), float(row[1]), float(row[2]))
+         for _b, row in iter_blocks_backward(11, replica, 3, 40)]
+        for replica in replicas
+    ]
+    assert draws[0] != draws[1]
     for chunk in (1, 7, 64):
-        got = list(iter_blocks_backward(11, 0, 3, 40, chunk=chunk))
-        assert [b for b, _ in got] == list(range(39, 2, -1))
-        assert all(np.array_equal(row, whole[b - 3]) for b, row in got)
         monkeypatch.setattr(streams, "_CHUNK_BLOCKS", chunk)
-        decoded = [d for lists in streams._draws_backward(11, 0, 3, 40, 16) for d in zip(*lists)]
-        assert decoded == draws
+        parts = list(_draws_backward_batch(11, replicas, 3, 40, 16))
+        assert len(parts) == -(-37 // chunk)
+        ii, jj, lams, coins = (np.concatenate(p, axis=1) for p in zip(*parts))
+        for r in range(len(replicas)):
+            decoded = list(zip(ii[r].tolist(), jj[r].tolist(), lams[r].tolist(), coins[r].tolist()))
+            assert decoded == draws[r]
 
 
 def test_aux_uniform_is_addressed_by_block():
@@ -110,15 +115,14 @@ def test_aux_uniform_is_addressed_by_block():
 
 
 def test_pair_from_word_covers_all_pairs():
-    got = {pair_from_word(u, 4) for u in np.linspace(0.0, 0.9999, 600)}
-    assert got == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
-    assert pair_from_word(0.999999999, 4) == (3, 4)
+    i, j = _pairs_from_words(np.linspace(0.0, 0.9999, 600), 4)
+    assert set(zip(i.tolist(), j.tolist())) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
+    i, j = _pairs_from_words(np.array([0.999999999]), 4)
+    assert (int(i[0]), int(j[0])) == (3, 4)
 
 
 @pytest.mark.parametrize("n", [2, 5, 1024, 10**5])
 def test_pair_from_word_endpoints(n):
-    assert pair_from_word(0.0, n) == (1, 2)
-    assert pair_from_word(math.nextafter(1.0, 0.0), n) == (n - 1, n)
     i, j = _pairs_from_words(np.array([0.0, math.nextafter(1.0, 0.0)]), n)
     assert list(zip(i.tolist(), j.tolist())) == [(1, 2), (n - 1, n)]
 
@@ -202,7 +206,7 @@ def test_matrix_apply_tracks_direct_chains(rng):
         direct = x0
         for d in draws:
             direct = step(direct, d)
-        assert float(np.max(np.abs(tm.apply(x0) - direct.values))) < 1e-12
+        assert float(np.max(np.abs(tm.mat @ x0.values - direct.values))) < 1e-12
     # shared steps are contractions: vertex images end almost collided
     assert _spread(tm) < 1e-6
 
@@ -215,19 +219,13 @@ def test_matrix_identity_and_validation():
         TransitionMatrix.identity(1)
 
 
-def test_evolve_matrix_matches_in_place_step():
+def test_shared_step_columns_are_one_step_images():
     tm = TransitionMatrix.identity(4)
     d = StepDraw(2, 4, 0.3)
-    out = evolve_matrix(tm, d)
-    assert np.array_equal(tm.mat, np.eye(4))  # input untouched
-    ref = TransitionMatrix.identity(4)
-    ref.shared_step(2, 4, 0.3)
-    assert np.array_equal(out.mat, ref.mat)
-    # columns i and j of the result are the one-step images of e_i, e_j
-    assert np.array_equal(out.mat[:, 1], step(SimplexPoint.vertex(4, 2), d).values)
-    assert np.array_equal(out.mat[:, 3], step(SimplexPoint.vertex(4, 4), d).values)
-    with pytest.raises(ValueError):
-        evolve_matrix(tm, StepDraw(1, 5, 0.5))
+    tm.shared_step(d.i, d.j, d.lam)
+    # every column is the one-step image of its vertex, bit for bit
+    for v in range(1, 5):
+        assert np.array_equal(tm.mat[:, v - 1], step(SimplexPoint.vertex(4, v), d).values)
 
 
 def test_half_splits_converge_to_flat_matrix():
@@ -249,7 +247,7 @@ def test_l1_diameter_bound_endpoints_and_domination(rng):
     bound = _l1_diameter_bound(tm)
     for _ in range(1000):
         v, w = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-        assert float(np.abs(tm.apply(v) - tm.apply(w)).sum()) <= bound + 1e-12
+        assert float(np.abs(tm.mat @ v - tm.mat @ w).sum()) <= bound + 1e-12
 
 
 def test_column_stochasticity_over_a_million_steps(rng):
@@ -385,6 +383,21 @@ def test_tracked_run_reports_first_failing_column():
 
 
 # ----------------------------------------------------------- walk oracle
+
+def pair_from_word(u: float, n: int) -> tuple[int, int]:
+    """Scalar word decoder: pair number min(c - 1, floor(u * c)) of c = n(n-1)/2."""
+    c = n * (n - 1) // 2
+    return _pair_at(n, min(c - 1, int(u * c)))
+
+
+def iter_blocks_backward(master, replica, lo, hi):
+    """Yield (block, row) pairs for blocks hi-1 down to lo, reading 2^16 at a time."""
+    for top in range(hi, lo, -(1 << 16)):
+        bottom = max(lo, top - (1 << 16))
+        rows = read_blocks(master, replica, bottom, top)
+        for b in range(top - 1, bottom - 1, -1):
+            yield b, rows[b - bottom]
+
 
 def _reference_walk(tm, master, replica, lo, hi, p2, cutoff):
     """The per-step walk of ``cftp._walk_window``, one block at a time.
@@ -749,7 +762,7 @@ def test_attemptless_map_equals_matrix_composition():
     for _ in range(5):
         z0 = SimplexPoint(rng.dirichlet(np.ones(5)))
         out = propagate_through_epoch(z0, noatt)
-        assert float(np.max(np.abs(out.values - tm.apply(z0)))) < 1e-12
+        assert float(np.max(np.abs(out.values - tm.mat @ z0.values))) < 1e-12
 
 
 def test_epoch_record_round_trips_to_json():

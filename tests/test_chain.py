@@ -20,7 +20,6 @@ from simplex_gibbs.chain import (
     SimplexPoint,
     StepDraw,
     contraction_factor,
-    evolve,
     exact_split,
     sample_step_draw,
     sample_uniform_simplex,
@@ -28,7 +27,8 @@ from simplex_gibbs.chain import (
     weight,
 )
 from simplex_gibbs.partitions import EdgeSchedule
-from simplex_gibbs.streams import pair_from_word
+from simplex_gibbs.streams import _pairs_from_words
+from simplex_gibbs.two_stage import proportional_run
 
 from conftest import ALPHA, coordinate_cdf, uniform_simplex_oracle
 
@@ -179,42 +179,9 @@ def test_step_conserves_pair_sum(lam, seed):
 
 def test_fsum_drift_stays_tiny_over_long_runs():
     rng = np.random.default_rng(3)
-    x = SimplexPoint.center(16)
-    y = evolve(x, 5000, rng)
+    x, y = proportional_run(SimplexPoint.center(16), SimplexPoint.vertex(16, 1), 5000, rng)
+    assert abs(math.fsum(x.values.tolist()) - 1.0) < 1e-12
     assert abs(math.fsum(y.values.tolist()) - 1.0) < 1e-12
-
-
-def test_evolve_matches_manual_stepping():
-    r1 = np.random.default_rng(11)
-    r2 = np.random.default_rng(11)
-    x = SimplexPoint.center(5)
-    a = evolve(x, 40, r1)
-    b = x
-    for _ in range(40):
-        b = step(b, sample_step_draw(5, r2))
-    assert a.equals_bitwise(b)
-
-
-def test_evolve_draws_in_bounded_chunks(monkeypatch):
-    sizes = []
-    bulk = chain.sample_step_draw
-
-    def spy(n, rng, law=None, size=None):
-        sizes.append(size)
-        return bulk(n, rng, law, size)
-
-    monkeypatch.setattr(chain, "_DRAW_CHUNK", 10)
-    monkeypatch.setattr(chain, "sample_step_draw", spy)
-    r1, r2 = np.random.default_rng(12), np.random.default_rng(12)
-    x = SimplexPoint.center(7)
-    a = evolve(x, 23, r1)
-    assert sizes == [10, 10, 3]
-    b = x
-    for _ in range(23):
-        b = step(b, bulk(7, r2))
-    assert a.equals_bitwise(b)
-    with pytest.raises(ValueError, match="nonnegative"):
-        evolve(x, -1, r1)
 
 
 # ---------------------------------------------------------------- bulk draws
@@ -451,7 +418,7 @@ def test_pairs_at_refuses_int64_overflow():
         lambda rng: EdgeSchedule.sample(3000, 100, rng),
         lambda rng: sample_step_draw(3000, rng),
         lambda rng: sample_step_draw(3000, rng, size=100),
-        lambda rng: pair_from_word(0.5, 3000),
+        lambda rng: _pairs_from_words(np.array([0.5]), 3000),
     ],
     ids=["schedule", "step_draw", "step_draws_bulk", "pair_from_word"],
 )

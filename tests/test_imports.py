@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -36,3 +37,40 @@ def test_connectivity_does_not_import_scipy_stats():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _module_level_public_names(tree) -> set[str]:
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _referenced_names(tree) -> set[str]:
+    """Names read as a bare name or an attribute; docstrings and imports do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_public_functions_have_a_caller_outside_tests():
+    # a public function or class that only the tests use belongs in the tests
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "simplex_gibbs").glob("*.py"))
+    callers = package + sorted((root / "scripts").glob("*.py"))
+    used: set[str] = set()
+    for path in callers:
+        used |= _referenced_names(ast.parse(path.read_text(), str(path)))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in package
+        for name in sorted(_module_level_public_names(ast.parse(path.read_text(), str(path))))
+        if name not in used
+    ]
+    assert not unused, f"public names with no caller in src/ or scripts/: {unused}"

@@ -353,6 +353,16 @@ def test_schedule_validation():
     wide = EdgeSchedule(3, ((np.int64(1), np.int64(3)),))
     assert json.loads(json.dumps(wide.to_json_dict())) == {"n": 3, "edges": [[1, 3]]}
     assert wide == EdgeSchedule(3, ((1, 3),))
+    # n must be an integer: JSON neither truncates nor parses it, and a
+    # numpy integer n serializes as a Python int
+    for d in ({"n": 3.7, "edges": [[1, 2]]}, {"n": "3", "edges": [[1, 2]]}):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            EdgeSchedule.from_json_dict(d)
+    for n in (3.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            EdgeSchedule(n, ((1, 2),))
+    d = json.loads(json.dumps(EdgeSchedule(np.int64(3), ((1, 2),)).to_json_dict()))
+    assert d == {"n": 3, "edges": [[1, 2]]} and type(d["n"]) is int
 
 
 def test_decoded_schedule_equals_constructed_schedule():

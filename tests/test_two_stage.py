@@ -97,8 +97,11 @@ def test_proportional_run_draws_once_per_chunk(monkeypatch):
     assert sizes == [267]
     sizes.clear()
     monkeypatch.setattr(chain, "_DRAW_CHUNK", 100)
-    proportional_run(x0, y0, 267, np.random.default_rng(0))
+    x1, y1 = proportional_run(x0, y0, 267, np.random.default_rng(0))
     assert sizes == [100, 100, 67]
+    # the chunk boundaries move no draw
+    xr, yr = _proportional_run_reference(x0, y0, 267, np.random.default_rng(0), [])
+    assert x1.equals_bitwise(xr) and y1.equals_bitwise(yr)
 
 
 def test_proportional_run_refuses_negative_steps():
