@@ -1,6 +1,6 @@
 """Pairwise-mixing Gibbs dynamics on the simplex, couplings, and a perfect sampler."""
 
-from simplex_gibbs.cftp import (
+from .cftp import (
     BudgetExhaustedError,
     CftpResult,
     EpochRecord,
@@ -9,7 +9,7 @@ from simplex_gibbs.cftp import (
     propagate_through_epoch,
     run_epoch,
 )
-from simplex_gibbs.chain import (
+from .chain import (
     LambdaLaw,
     SimplexPoint,
     StepDraw,
@@ -21,19 +21,19 @@ from simplex_gibbs.chain import (
     step,
     weight,
 )
-from simplex_gibbs.couplings import (
+from .couplings import (
     PairCoupling,
     couple_lambdas,
     success_probability,
 )
-from simplex_gibbs.experiments import SummaryReport, wilson_lower
-from simplex_gibbs.partitions import (
+from .experiments import SummaryReport, wilson_lower
+from .partitions import (
     EdgeSchedule,
     PartitionAnalysis,
     SplitRecord,
     analyze_schedule,
 )
-from simplex_gibbs.two_stage import (
+from .two_stage import (
     ExperimentConfig,
     FullRunResult,
     coupling_time,

@@ -16,31 +16,22 @@ forces all n + 1 chains into bitwise collision, which is checked, not
 assumed.  The collided point is pushed forward through the already-examined
 (nearer) windows by replaying their per-step maps.
 
-One walk, ``_walk_window``, runs every window of ``cftp_sample``, tracked
-or replayed.  The tracked run carries the n vertex chains as the columns of a
-:class:`TransitionMatrix`; a replay carries its one chain as a one-column
-matrix.  In both the driver rides as the last column of the same matrix,
-so every shared step is one ``TransitionMatrix.shared_step`` for the
-followers and the driver together, and every marked-time attempt is one
-call of ``couplings._subset_couple_columns`` on the follower columns
-against the driver column.  The window's blocks are read and decoded in
-bounded chunks.  The tracked run attempts all n columns at once and notes
-why the first failing column failed; a replayed chain attempts with its
-own slope and intercept and resolves its own failures from per-block
-remainder draws.  The map each window applies is
-thus one fixed function of the stream, no matter when it is replayed.  If
-the budget of window doublings is exhausted without a certificate the
-sampler raises instead of returning a biased point.
-
-Window 1 has the same geometry for every replica, so a driver drawing many
-samples walks it for a group of replicas at once (``_first_epochs``, used
-by ``experiments.run_cftp``).  ``_walk_windows`` stacks the group's
-matrices, driver as the last column, in one (R, n, n + 1) array: every
-shared step is one gather, exact split and scatter of each replica's rows
-i and j, and each replica marked at a closing time attempts on its own
-matrix with the same kernel and failure policy as the tracked walk.  Its
-records equal ``run_epoch``'s bit for bit, and ``cftp_sample`` takes one
-as its window 1; deeper windows and replays stay per sample.
+One walk, ``_walk_windows``, runs every window, tracked or replayed, for
+one replica or a group.  Each replica's chains (the n vertex chains of a
+tracked run, or the one chain of a replay) are the columns of its own
+matrix, with the driver as the last column, and the group's matrices are
+stacked in one :class:`TransitionMatrix`: every shared step is one
+``TransitionMatrix.shared_step`` for all chains, and every marked-time
+attempt one ``couplings._subset_couple_columns`` call on a replica's
+followers against its driver.  A tracked run notes why its first failing
+column failed; a replayed chain attempts with its own slope and intercept
+and resolves its own failures from per-block remainder draws.  The map each
+window applies is thus one fixed function of the stream, no matter when or
+beside which replicas it is walked.  Window 1 has the same geometry for
+every replica, so ``experiments.run_cftp`` walks it for groups of samples
+(``_first_epochs``); ``cftp_sample`` walks deeper windows and replays with
+one replica.  If the budget of window doublings is exhausted without a
+certificate the sampler raises instead of returning a biased point.
 
 Randomness is counter-addressed (see :mod:`.streams`): the step at absolute
 time t owns block -t - 1, so a step's draws never depend on which window or
@@ -118,10 +109,10 @@ class TransitionMatrix:
     x with the same draws.  A shared step is one ``chain._apply_step`` on
     the whole matrix, the same exact split as a single chain applied
     entrywise, so each column IS the single-chain trajectory of its start,
-    bit for bit.  A replay carries its one replayed chain as a one-column
-    matrix.  While a window is walked, the driver rides as one more column,
-    the last, so a shared step moves the followers and the driver in one
-    update.
+    bit for bit.  A window walk holds R matrices of n rows and C + 1
+    columns stacked as one (R * n, C + 1) matrix, row i of matrix r being
+    stacked row r * n + i (1-based), with the driver as the last column;
+    a replay's matrix has one follower column.
     """
 
     mat: np.ndarray
@@ -136,8 +127,12 @@ class TransitionMatrix:
     def n(self) -> int:
         return int(self.mat.shape[0])
 
-    def shared_step(self, i: int, j: int, lam: float) -> None:
-        """Apply one shared step with pair (i, j), 1-based, to all columns."""
+    def shared_step(self, i, j, lam) -> None:
+        """Apply one shared step with pair (i, j), 1-based, to all columns.
+
+        i and j may also be arrays of stacked rows and lam an (R, 1) array:
+        matrix r then steps its rows i[r] and j[r] with lam[r, 0].
+        """
         _apply_step(self.mat, i - 1, j - 1, lam)
 
 
@@ -250,136 +245,93 @@ def _failure_note(s: int, cpls) -> FailureNote | None:
     )
 
 
-def _walk_window(
-    tm: TransitionMatrix,
-    master: int,
-    replica: int,
-    lo: int,
-    hi: int,
-    p2: int,
-    cutoff: int | None,
-) -> tuple[PartitionAnalysis, np.ndarray, FailureNote | None]:
-    """Walk window [lo, hi) forward in time, the columns of tm and the driver.
-
-    The driver starts at the barycenter and rides as the last column of one
-    matrix with the C columns of tm, so a shared step is one
-    ``TransitionMatrix.shared_step`` for all C + 1 chains.  The opening
-    phase, blocks [lo + p2, hi) in time order, applies every draw as a
-    shared step.  In the closing phase, time s (1-based) owns block
-    lo + p2 - s.  Every time is a shared step, except marked times before
-    the cutoff, where every column attempts the fraction coupling against
-    the driver column in one call of ``_subset_couple_columns``; a failed
-    relation draws its remainder uniform from the block (``aux_uniform``,
-    read at most once per time).  cutoff=None is the tracked run: it
-    attempts at every marked time and stops at the first attempt with a
-    failed column, with the note of the first such column, because nothing
-    after it is read.  A recorded cutoff is the replay: its column commits
-    every outcome and the walk runs to the end.  With hi = lo + p2 the
-    opening phase is empty and the walk starts the closing phase from the
-    given columns.  Blocks are read and decoded in bounded chunks by
-    ``streams._draws_backward_batch`` with this one replica, row 0 of each
-    chunk; the closing phase's draws are kept for its schedule analysis.
-
-    tm is stepped in place.  Returns the schedule's analysis, the driver
-    state and the failure note.  An attempt's outcome is written back only
-    after the failure check, so after a tracked failure the driver and tm
-    stand as they were before the failed attempt.
-    """
-    n, cols = tm.mat.shape
-    walk = TransitionMatrix(np.column_stack((tm.mat, SimplexPoint.center(n).values)))
-    mat, shared_step = walk.mat, walk.shared_step
-    for ii, jj, lams, _coins in _draws_backward_batch(master, (replica,), lo + p2, hi, n):
-        for i, j, lam in zip(ii[0].tolist(), jj[0].tolist(), lams[0].tolist()):
-            shared_step(i, j, lam)
-
-    ii, jj, us, coins = (
-        np.concatenate(parts, axis=1)[0]
-        for parts in zip(*_draws_backward_batch(master, (replica,), lo, lo + p2, n))
-    )
-    analysis = analyze_schedule(EdgeSchedule(n, np.column_stack((ii, jj))))
-    us, coins = us.tolist(), coins.tolist()
-    last = p2 if cutoff is None else cutoff - 1
-    note = None
-    for s, (i, j, u) in enumerate(zip(ii.tolist(), jj.tolist(), us), start=1):
-        rec = analysis.splits.get(s) if analysis.connected and s <= last else None
-        if rec is None:
-            shared_step(i, j, u)
-            continue
-        aux = cache(partial(aux_uniform, master, replica, lo + p2 - s))
-        xs, y, cpls = _subset_couple_columns(mat[:, :cols], mat[:, cols], rec, u, coins[s - 1], aux)
-        if cutoff is None:
-            note = _failure_note(s, cpls)
-            if note is not None:
-                break
-        mat[:, :cols] = xs
-        mat[:, cols] = y
-    tm.mat = mat[:, :cols].copy()
-    return analysis, mat[:, cols].copy(), note
-
-
 def _walk_windows(
-    starts: np.ndarray, master: int, replicas, lo: int, hi: int, p2: int
+    starts: np.ndarray, master: int, replicas, lo: int, hi: int, p2: int, cutoffs=None
 ) -> list[tuple[PartitionAnalysis, np.ndarray, np.ndarray, FailureNote | None]]:
-    """The tracked ``_walk_window`` of window [lo, hi) for R replicas at once.
+    """Walk window [lo, hi) forward in time for R replicas at once.
 
-    starts is an (R, n, C) array: replica replicas[r] walks from the C
-    columns starts[r], with the barycenter driver as one more column, all R
-    matrices in one (R, n, C + 1) array.  A shared step of all of them is
-    one ``chain._apply_step`` on their stacked rows.  Each replica's blocks
-    are decoded by ``streams._draws_backward_batch`` and its closing
-    schedule analyzed on its own.  At each closing time the live replicas without an attempt
-    there take the shared step together, and each replica marked there
-    attempts on its own matrix with ``_subset_couple_columns``.  A replica
-    stops at its first failed attempt, as the tracked walk does, and keeps
-    its state from before that attempt.
+    starts is an (R, n, C) array: replica replicas[r] walks the C columns
+    starts[r] with the barycenter driver as one more column, the R
+    matrices stacked in one TransitionMatrix, so a shared step of all of
+    them is one ``TransitionMatrix.shared_step``; one replica steps on
+    Python scalars, about twice as fast as on index arrays.  Each replica's
+    blocks are decoded in bounded chunks by ``streams._draws_backward_batch``
+    and its closing schedule analyzed on its own.  The opening phase,
+    blocks [lo + p2, hi) in time order, applies every draw as a shared
+    step.  In the closing phase, time s (1-based) owns block lo + p2 - s.
+    Every time is a shared step, except a replica's marked times before its
+    cutoff, where all its columns attempt the fraction coupling against its
+    driver column in one ``_subset_couple_columns`` call; a failed relation
+    draws its remainder from the block (``aux_uniform``, read at most once).
 
-    Returns, per replica, what ``_walk_window(tm, master, replica, lo, hi,
-    p2, None)`` returns from those columns, bit for bit: the schedule's
-    analysis, the columns tm would hold, the driver and the failure note.
+    cutoffs=None is the tracked run: a replica stops at its first attempt
+    with a failed column, noting the first such column, and keeps its state
+    from before that attempt, since nothing after it is read; once no
+    replica is live, the walk ends.  A sequence of recorded cutoffs, one
+    per replica, is the replay: every outcome is committed and the walk
+    runs to the end.  With hi = lo + p2 the opening phase is empty.
+
+    Returns, per replica: the schedule's analysis, its C columns, its
+    driver and its failure note.
     """
     reps, n, cols = starts.shape
-    mat = np.empty((reps, n, cols + 1))
+    walk = TransitionMatrix(np.empty((reps * n, cols + 1)))
+    mat = walk.mat.reshape(reps, n, cols + 1)
     mat[:, :, :cols] = starts
     mat[:, :, cols] = SimplexPoint.center(n).values
-    flat = mat.reshape(reps * n, cols + 1)
-    base = np.arange(reps)[:, None] * n - 1  # 1-based row i of matrix r is flat row base[r] + i
+    shared_step = walk.shared_step
+    base = np.arange(reps) * n  # row i of matrix r is stacked row base[r] + i
+
+    def every_replica(ii, jj, lams):  # each time's shared step of all R matrices
+        if reps == 1:
+            return zip(ii[0].tolist(), jj[0].tolist(), lams[0].tolist())
+        return zip((ii + base[:, None]).T, (jj + base[:, None]).T, lams.T[:, :, None])
+
     for ii, jj, lams, _coins in _draws_backward_batch(master, replicas, lo + p2, hi, n):
-        for ri, rj, lam in zip((ii + base).T, (jj + base).T, lams.T[:, :, None]):
-            _apply_step(flat, ri, rj, lam)
+        for i, j, lam in every_replica(ii, jj, lams):
+            shared_step(i, j, lam)
 
     ii, jj, us, coins = (
         np.concatenate(parts, axis=1)
         for parts in zip(*_draws_backward_batch(master, replicas, lo, lo + p2, n))
     )
     analyses = [analyze_schedule(EdgeSchedule(n, e)) for e in np.stack((ii, jj), axis=-1)]
-    marked = np.zeros((p2, reps), dtype=bool)
+    attempts: dict[int, list[int]] = {}  # closing time -> replicas marked there
     for r, analysis in enumerate(analyses):
-        if analysis.connected:
-            marked[[s - 1 for s in analysis.marked], r] = True
-    rows_i, rows_j = (ii + base).T, (jj + base).T
+        for s in analysis.marked if analysis.connected else ():
+            if cutoffs is None or s < cutoffs[r]:
+                attempts.setdefault(s, []).append(r)
     live = np.ones(reps, dtype=bool)
+    stopped = 0
     notes: list[FailureNote | None] = [None] * reps
-    for s in range(1, p2 + 1):
+    for s, (i, j, lam) in enumerate(every_replica(ii, jj, us), start=1):
         t = s - 1
-        attempts = marked[t] & live
-        step = np.flatnonzero(live & ~attempts)
-        _apply_step(flat, rows_i[t, step], rows_j[t, step], us[step, t][:, None])
-        for r in np.flatnonzero(attempts).tolist():
+        if s not in attempts and not stopped:
+            shared_step(i, j, lam)
+            continue
+        tries = [r for r in attempts.get(s, ()) if live[r]]
+        if len(tries) < reps - stopped:  # some live replica takes the shared step
+            step = live.copy()
+            step[tries] = False
+            step = np.flatnonzero(step)
+            shared_step(ii[step, t] + base[step], jj[step, t] + base[step], us[step, t][:, None])
+        for r in tries:
             aux = cache(partial(aux_uniform, master, replicas[r], lo + p2 - s))
             xs, y, cpls = _subset_couple_columns(
                 mat[r, :, :cols], mat[r, :, cols], analyses[r].splits[s],
                 float(us[r, t]), float(coins[r, t]), aux,
             )
-            notes[r] = _failure_note(s, cpls)
+            notes[r] = None if cutoffs is not None else _failure_note(s, cpls)
             if notes[r] is None:
                 mat[r, :, :cols] = xs
                 mat[r, :, cols] = y
             else:
                 live[r] = False
-    return [
-        (analyses[r], mat[r, :, :cols].copy(), mat[r, :, cols].copy(), notes[r])
-        for r in range(reps)
-    ]
+                stopped += 1
+        if stopped == reps:
+            break
+    return [(analyses[r], mat[r, :, :cols].copy(), mat[r, :, cols].copy(), notes[r])
+            for r in range(reps)]
 
 
 def _epoch_record(
@@ -409,27 +361,24 @@ def _epoch_record(
 def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
     """Run window k's tracked chains and report whether it certified."""
     lo, hi, _p1, p2 = window_geometry(n, k)
-    tm = TransitionMatrix.identity(n)
-    analysis, center, failure = _walk_window(tm, master, replica, lo, hi, p2, None)
-    return _epoch_record(n, master, replica, k, analysis, tm.mat, center, failure)
+    walked = _walk_windows(TransitionMatrix.identity(n).mat[None], master, (replica,), lo, hi, p2)
+    return _epoch_record(n, master, replica, k, *walked[0])
 
 
 def _first_epochs(n: int, master: int, samples: int):
     """Window 1's record of each replica 0 .. samples - 1, in replica order.
 
     The replicas are walked in groups by ``_walk_windows``, each record
-    equal to ``run_epoch(n, master, replica, 1)`` bit for bit.  A group
+    equal to ``run_epoch(n, master, replica, 1)`` bit for bit, since a
+    replica's walk does not depend on the others in its group.  A group
     holds at most _GROUP_REPLICAS replicas and _GROUP_ENTRIES matrix
-    entries.  A group of one replica yields None instead, since one walk is
-    faster through ``run_epoch``; ``cftp_sample`` then runs it.
+    entries; a group of one (every group when n >= 724) is the same walk
+    with one replica, as ``run_epoch`` takes it.
     """
     lo, hi, _p1, p2 = window_geometry(n, 1)
     size = max(1, min(_GROUP_REPLICAS, _GROUP_ENTRIES // (n * (n + 1))))
     for start in range(0, samples, size):
         group = range(start, min(samples, start + size))
-        if len(group) == 1:
-            yield None
-            continue
         starts = np.broadcast_to(np.eye(n), (len(group), n, n))
         for replica, walked in zip(group, _walk_windows(starts, master, group, lo, hi, p2)):
             yield _epoch_record(n, master, replica, 1, *walked)
@@ -438,17 +387,17 @@ def _first_epochs(n: int, master: int, samples: int):
 def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> SimplexPoint:
     """Push a point forward through one examined window's map.
 
-    The replayed chain is carried as a one-column TransitionMatrix through
-    the same walk as the tracked run, so it faces the same per-step draws:
-    shared steps everywhere except marked closing-phase times before the
-    window's cutoff, where it attempts the coupling against the re-derived
-    driver with its own slope and intercept and, on failure, draws its
-    fraction from the block's remainder uniform.  For a certified window
-    the map is constant in exact arithmetic: each attempt's success region
-    is an intersection of half-spaces containing all the vertex columns,
-    hence the whole simplex.  In floating point an input's attempt can
-    still fail when its exact-weight nudge is refused at ENFORCE_TOL (the
-    uniform point that the golden file replays through window n=8,
+    The replayed chain is the one follower column of a one-replica replay
+    through ``_walk_windows``, the walk of the tracked run, so it faces the
+    same per-step draws: shared steps everywhere except marked closing-phase
+    times before the window's cutoff, where it attempts the coupling against
+    the re-derived driver with its own slope and intercept and, on failure,
+    draws its fraction from the block's remainder uniform.  For a certified
+    window the map is constant in exact arithmetic: each attempt's success
+    region is an intersection of half-spaces containing all the vertex
+    columns, hence the whole simplex.  In floating point an input's attempt
+    can still fail when its exact-weight nudge is refused at ENFORCE_TOL
+    (the uniform point that the golden file replays through window n=8,
     master=1, replica=7, k=2 fails once); the replay then commits its
     remainder draw and attempts again at later marked times.  That such a
     replay still ends on the recorded collided point is checked by the
@@ -456,14 +405,14 @@ def propagate_through_epoch(value: SimplexPoint, record: EpochRecord) -> Simplex
     """
     if value.n != record.n:
         raise ValueError(f"point has n={value.n}, window has n={record.n}")
-    follower = TransitionMatrix(np.array(value.values[:, None]))
     cutoff = record.p2 + 1 if record.cutoff is None else record.cutoff
-    analysis, _, _ = _walk_window(
-        follower, record.master, record.replica, record.lo, record.hi, record.p2, cutoff
-    )
+    analysis, follower, _driver, _note = _walk_windows(
+        value.values[None, :, None], record.master, (record.replica,),
+        record.lo, record.hi, record.p2, (cutoff,),
+    )[0]
     if analysis.connected != record.connected or analysis.marked != record.marked:
         raise RuntimeError("replayed schedule disagrees with the recorded window")
-    return SimplexPoint(follower.mat[:, 0])
+    return SimplexPoint(follower[:, 0])
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from simplex_gibbs.chain import _apply_step, _match_fsum
-from simplex_gibbs.partitions import SplitRecord
+from .chain import _apply_step, _match_fsum
+from .partitions import SplitRecord
 
 
 def success_probability(m: float, delta: float) -> float:

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from simplex_gibbs.chain import _pairs_at, pair_count
+from .chain import _pairs_at, pair_count
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from simplex_gibbs.chain import (
+from .chain import (
     SimplexPoint,
     StepDraw,
     _apply_step,
@@ -50,8 +50,8 @@ from simplex_gibbs.chain import (
     step,
     weight,
 )
-from simplex_gibbs.couplings import _subset_couple_columns
-from simplex_gibbs.partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
+from .couplings import _subset_couple_columns
+from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 
 
 def stage_steps(n: int, C: float) -> int:

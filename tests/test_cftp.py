@@ -27,7 +27,6 @@ from simplex_gibbs.cftp import (
     FailureNote,
     TransitionMatrix,
     _first_epochs,
-    _walk_window,
     _walk_windows,
     cftp_sample,
     phase1_steps,
@@ -326,9 +325,8 @@ def _tracked_note(cols, master, replica):
     """
     n = cols.shape[0]
     lo, _hi, _p1, p2 = window_geometry(n, 1)
-    _, _, note = _walk_window(TransitionMatrix(np.array(cols, dtype=float)),
-                              master, replica, lo, lo + p2, p2, None)
-    return note
+    walked = _walk_windows(np.array(cols, dtype=float)[None], master, (replica,), lo, lo + p2, p2)
+    return walked[0][3]
 
 
 def test_failure_note_reason_nudge_refused():
@@ -400,12 +398,14 @@ def iter_blocks_backward(master, replica, lo, hi):
 
 
 def _reference_walk(tm, master, replica, lo, hi, p2, cutoff):
-    """The per-step walk of ``cftp._walk_window``, one block at a time.
+    """The per-step walk of one replica of ``cftp._walk_windows``.
 
-    The driver is a separate vector stepped by its own ``_apply_step``, each
-    block is decoded with ``pair_from_word`` and ``float``, and the whole
-    closing phase is read at once.  Same contract and return value as
-    ``_walk_window``.
+    tm holds the replica's columns and is stepped in place, one block at a
+    time.  The driver is a separate vector stepped by its own
+    ``_apply_step``, each block is decoded with ``pair_from_word`` and
+    ``float``, and the whole closing phase is read at once.  cutoff is the
+    replica's entry of cutoffs (None for the tracked run).  Returns the
+    schedule's analysis, the driver and the failure note.
     """
     n = tm.n
     center = np.array(SimplexPoint.center(n).values)
@@ -451,17 +451,24 @@ def _note_bits(note):
     return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(note))
 
 
-def _walks_agree(cols, master, replica, lo, hi, p2, cutoff):
-    """Run both walks from the same columns, check them bit for bit; the note."""
-    got_tm, want_tm = TransitionMatrix(np.array(cols)), TransitionMatrix(np.array(cols))
-    got = _walk_window(got_tm, master, replica, lo, hi, p2, cutoff)
+def _walk_agrees(got, cols, master, replica, lo, hi, p2, cutoff):
+    """Check one replica's walk output against the reference walk from cols."""
+    analysis, got_cols, driver, note = got
+    want_tm = TransitionMatrix(np.array(cols, dtype=float))
     want = _reference_walk(want_tm, master, replica, lo, hi, p2, cutoff)
-    assert got[0] == want[0]
-    assert got[1].tobytes() == want[1].tobytes()
-    assert _note_bits(got[2]) == _note_bits(want[2])
-    assert got_tm.mat.shape == want_tm.mat.shape
-    assert got_tm.mat.tobytes() == want_tm.mat.tobytes()
-    return got[2]
+    assert analysis == want[0]
+    assert driver.tobytes() == want[1].tobytes()
+    assert _note_bits(note) == _note_bits(want[2])
+    assert got_cols.shape == want_tm.mat.shape
+    assert got_cols.tobytes() == want_tm.mat.tobytes()
+    return note
+
+
+def _walks_agree(cols, master, replica, lo, hi, p2, cutoff):
+    """Walk one replica from cols, check it bit for bit; the note."""
+    cutoffs = None if cutoff is None else (cutoff,)
+    got = _walk_windows(np.array(cols, dtype=float)[None], master, (replica,), lo, hi, p2, cutoffs)
+    return _walk_agrees(got[0], cols, master, replica, lo, hi, p2, cutoff)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
@@ -527,15 +534,16 @@ def test_walk_is_chunk_invariant(monkeypatch):
 
 def test_certificate_violation_names_first_differing_column(monkeypatch):
     replica = next(r for r in range(30) if run_epoch(5, 99, r, 1).coalesced)
-    walk = cftp._walk_window
+    walk = cftp._walk_windows
 
-    def perturbed(tm, *args):
-        out = walk(tm, *args)
+    def perturbed(*args):
+        out = walk(*args)
+        cols = out[0][1]
         for v in (2, 4):  # columns 3 and 5, 1-based
-            tm.mat[0, v] = math.nextafter(tm.mat[0, v], 1.0)
+            cols[0, v] = math.nextafter(cols[0, v], 1.0)
         return out
 
-    monkeypatch.setattr(cftp, "_walk_window", perturbed)
+    monkeypatch.setattr(cftp, "_walk_windows", perturbed)
     with pytest.raises(RuntimeError, match=r"window 1 certificate violated: column 3 differs"):
         run_epoch(5, 99, replica, 1)
 
@@ -568,12 +576,12 @@ def test_batched_first_windows_match_run_epoch(monkeypatch):
     failures = 0
     for n in (2, 3, 4, 8, 16, 32):
         for master in (0, 5, 777):
+            sizes.clear()  # run_epoch below walks groups of one
             got = list(_first_epochs(n, master, 30))
-            assert len(got) == 30
+            assert len(got) == 30 and sizes == [7, 7, 7, 7, 2]
             for replica, rec in enumerate(got):
                 assert _record_bits(rec) == _record_bits(run_epoch(n, master, replica, 1))
                 failures += not rec.coalesced
-    assert sizes == [7, 7, 7, 7, 2] * 18
     assert failures > 0  # failed records, notes included, are compared too
 
 
@@ -581,14 +589,18 @@ def test_first_window_groups_are_bounded(monkeypatch):
     sizes = _group_sizes(monkeypatch)
     assert len(list(_first_epochs(16, 5, 70))) == 70
     assert sizes == [64, 6]
-    # matrix entries bound a group: here two n=4 matrices of 4 x 5; a
-    # trailing group of one is left to run_epoch in cftp_sample
+    # matrix entries bound a group: here two n=4 matrices of 4 x 5, then a
+    # trailing group of one
     monkeypatch.setattr(cftp, "_GROUP_ENTRIES", 2 * 4 * 5)
     got = list(_first_epochs(4, 5, 5))
-    assert sizes[2:] == [2, 2] and got[4] is None
-    assert [_record_bits(r) for r in got[:4]] == [_record_bits(run_epoch(4, 5, r, 1)) for r in range(4)]
-    # at the default bound an n=1024 group would hold one matrix: no batch
-    assert list(_first_epochs(1024, 5, 3)) == [None] * 3 and sizes[4:] == []
+    assert sizes[2:] == [2, 2, 1]
+    assert [_record_bits(r) for r in got] == [_record_bits(run_epoch(4, 5, r, 1)) for r in range(5)]
+    # at the default bound an n=1024 group holds one matrix; the groups are
+    # recorded, not walked
+    groups = []
+    monkeypatch.setattr(cftp, "_walk_windows", lambda starts, master, replicas, *a: groups.append(
+        (starts.shape[0], list(replicas))) or [])
+    assert list(_first_epochs(1024, 5, 3)) == [] and groups == [(1, [0]), (1, [1]), (1, [2])]
 
 
 def test_batched_walk_is_chunk_invariant(monkeypatch):
@@ -614,21 +626,25 @@ def test_batched_walk_is_chunk_invariant(monkeypatch):
 def _batch_agrees(starts, master, replicas):
     """Closing phase of window 1 from each replica's own columns, batched.
 
-    Checks every output of ``_walk_windows`` against ``_walk_window`` from
-    the same columns, bit for bit, and returns the failure notes.
+    Checks every output of the tracked ``_walk_windows`` against
+    ``_reference_walk`` from the same columns, bit for bit, and returns the
+    failure notes.  Then replays the batch three times with mixed cutoffs,
+    each replica taking its recorded cutoff, p2 // 2 + 1 and p2 + 1 in
+    turn, and checks those too.
     """
     starts = np.array(starts, dtype=float)
     lo, _hi, _p1, p2 = window_geometry(starts.shape[1], 1)
-    got = _walk_windows(starts, master, replicas, lo, lo + p2, p2)
-    notes = []
-    for cols, replica, (analysis, tm_cols, driver, note) in zip(starts, replicas, got):
-        tm = TransitionMatrix(cols.copy())
-        want = _walk_window(tm, master, replica, lo, lo + p2, p2, None)
-        assert analysis == want[0]
-        assert driver.tobytes() == want[1].tobytes()
-        assert _note_bits(note) == _note_bits(want[2])
-        assert tm_cols.shape == tm.mat.shape and tm_cols.tobytes() == tm.mat.tobytes()
-        notes.append(note)
+    walked = _walk_windows(starts, master, replicas, lo, lo + p2, p2)
+    notes = [
+        _walk_agrees(got, cols, master, replica, lo, lo + p2, p2, None)
+        for cols, replica, got in zip(starts, replicas, walked)
+    ]
+    choices = [(p2 + 1 if note is None else note.time, p2 // 2 + 1, p2 + 1) for note in notes]
+    for turn in range(3):
+        cutoffs = [c[(r + turn) % 3] for r, c in enumerate(choices)]
+        replayed = _walk_windows(starts, master, replicas, lo, lo + p2, p2, cutoffs)
+        for cols, replica, cutoff, got in zip(starts, replicas, cutoffs, replayed):
+            assert _walk_agrees(got, cols, master, replica, lo, lo + p2, p2, cutoff) is None
     return notes
 
 
@@ -650,8 +666,9 @@ def test_batched_walk_matches_forced_failures():
 def test_thinned_attempt_flips_with_its_coin(monkeypatch):
     # e_1 alone through window (4, 5, 4) is thinned at time 4.  With that
     # block's coin set to min(1, m), the largest coin that keeps the
-    # candidate, the same attempt succeeds, in both walks: an outcome that
-    # reads the coin of any other block fails one of the two asserts.
+    # candidate, the same attempt succeeds, in the walk and in the reference
+    # walk, which both read the patched blocks: an outcome that reads the
+    # coin of any other block fails one of the two asserts.
     col = np.eye(4)[:, [0]]
     note = _batch_agrees([col], 5, [4])[0]
     assert (note.time, note.column, note.reason) == (4, 1, "thinned")
@@ -666,6 +683,7 @@ def test_thinned_attempt_flips_with_its_coin(monkeypatch):
         return rows
 
     monkeypatch.setattr(streams, "read_blocks", with_coin)
+    monkeypatch.setitem(globals(), "read_blocks", with_coin)
     assert _batch_agrees([col, col], 5, [4, 4]) == [None, None]
 
 

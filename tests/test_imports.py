@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import simplex_gibbs
 
 CLAIMS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
+PACKAGE_DIR = Path(simplex_gibbs.__file__).resolve().parent
 
 
 def test_star_import_and_claims_script_load():
@@ -74,3 +76,33 @@ def test_public_functions_have_a_caller_outside_tests():
         if name not in used
     ]
     assert not unused, f"public names with no caller in src/ or scripts/: {unused}"
+
+
+def test_package_loads_under_another_name():
+    # relative imports only: a second copy of the package, loaded under
+    # another name, must not pick up modules of the first
+    alias = "simplex_gibbs_alias"
+    before = {name for name in sys.modules if name.startswith("simplex_gibbs.")}
+    spec = importlib.util.spec_from_file_location(
+        alias, PACKAGE_DIR / "__init__.py", submodule_search_locations=[str(PACKAGE_DIR)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    try:
+        spec.loader.exec_module(module)
+        loaded = [m for name, m in sys.modules.items() if name.split(".")[0] == alias]
+        strays = [
+            f"{m.__name__}.{key} from {value.__module__}"
+            for m in loaded
+            for key, value in vars(m).items()
+            if (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__.split(".")[0] == "simplex_gibbs"
+        ]
+        assert not strays, f"functions of the alias from the other copy: {strays}"
+        got = module.run_epoch(3, 0, 0, 1).to_json_dict()
+        assert got == simplex_gibbs.run_epoch(3, 0, 0, 1).to_json_dict()
+        after = {name for name in sys.modules if name.startswith("simplex_gibbs.")}
+        assert after == before
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == alias]:
+            del sys.modules[name]
