@@ -32,7 +32,7 @@ from simplex_gibbs.experiments import (
     run_lower_bound,
 )
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule, product_bound_check
-from simplex_gibbs.two_stage import ExperimentConfig, coupling_time
+from simplex_gibbs.two_stage import coupling_time
 
 FAILED = []
 
@@ -94,7 +94,7 @@ def claim_connectivity(seed: int, trials: int) -> None:
 
 
 def claim_two_stage(seed: int, replicas: int) -> None:
-    rep = run_couple(ExperimentConfig(n=16, C=1.0, replicas=replicas, seed=seed))
+    rep = run_couple(16, 1.0, replicas, seed)
     stats = {s["name"]: s["value"] for s in rep.statistics}
     checks = {c["name"]: c["passed"] for c in rep.checks}
     verdict(

@@ -34,7 +34,6 @@ from .partitions import (
     analyze_schedule,
 )
 from .two_stage import (
-    ExperimentConfig,
     FullRunResult,
     coupling_time,
     full_coupling_run,
@@ -47,7 +46,6 @@ __all__ = [
     "CftpResult",
     "EdgeSchedule",
     "EpochRecord",
-    "ExperimentConfig",
     "FullRunResult",
     "LambdaLaw",
     "PairCoupling",

@@ -31,7 +31,6 @@ import sys
 from . import experiments as _ex
 from .cftp import MAX_DOUBLINGS_DEFAULT, BudgetExhaustedError
 from .chain import LambdaLaw
-from .two_stage import ExperimentConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -139,11 +138,17 @@ def _dispatch(args: argparse.Namespace) -> _ex.SummaryReport:
     if args.command == "contraction":
         return _ex.run_contraction(args.n, args.replicas, args.seed, law=args.law)
     if args.command == "couple":
-        cfg = ExperimentConfig(
-            n=args.n, C=args.C, d=args.d, e=args.e, replicas=args.replicas, seed=args.seed
-        )
         records = f"{args.out}.jsonl" if args.out else None
-        return _ex.run_couple(cfg, traces_path=args.traces, records_path=records)
+        return _ex.run_couple(
+            args.n,
+            args.C,
+            args.replicas,
+            args.seed,
+            d=args.d,
+            e=args.e,
+            traces_path=args.traces,
+            records_path=records,
+        )
     if args.command == "connectivity":
         return _ex.run_connectivity(args.n, args.epsilon, args.trials, args.seed, T=args.T)
     if args.command == "lowerbound":

@@ -29,17 +29,14 @@ from .chain import (
     LambdaLaw,
     SimplexPoint,
     _apply_step,
-    _pair_at,
     _sq_distance_raw,
     _step_draws,
     contraction_factor,
-    pair_count,
     sample_step_draw,
     sq_distance,
-    step,
 )
 from .partitions import EdgeSchedule, analyze_schedule
-from .two_stage import ExperimentConfig, burn_in_steps, full_coupling_run, stage_steps
+from .two_stage import burn_in_steps, full_coupling_run, stage_steps
 
 __all__ = [
     "SummaryReport",
@@ -78,8 +75,8 @@ def _num(x):
     return x if math.isfinite(x) else None
 
 
-def wilson_lower(successes: int, trials: int, z: float = WILSON_Z) -> float:
-    """Lower end of the Wilson score interval for a binomial proportion."""
+def wilson_lower(successes: int, trials: int) -> float:
+    """Lower end of the Wilson score interval, at z = WILSON_Z, for a binomial proportion."""
     if trials <= 0:
         raise ValueError("need trials > 0")
     if not 0 <= successes <= trials:
@@ -87,9 +84,9 @@ def wilson_lower(successes: int, trials: int, z: float = WILSON_Z) -> float:
     if successes == 0:
         return 0.0
     p = successes / trials
-    zz = z * z
+    zz = WILSON_Z * WILSON_Z
     center = p + zz / (2.0 * trials)
-    rad = z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials * trials))
+    rad = WILSON_Z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials * trials))
     return max(0.0, (center - rad) / (1.0 + zz / trials))
 
 
@@ -264,13 +261,14 @@ def run_simulate(
         seed,
     )
     center = SimplexPoint.center(n)
+    start = SimplexPoint.vertex(n, 1).values.tolist()
     finals = np.empty(replicas)
     final_sq = np.empty(replicas)
     drift = 0.0
     rows = []
     for r in range(replicas):
         rng = _replica_rng(seed, r)
-        xs = SimplexPoint.vertex(n, 1).values.tolist()
+        xs = start.copy()
         if traces_path is not None:
             rows.append((r, 0, _sq_distance_raw(xs, center.values)))
         for t, (i0, j0, lam) in enumerate(_step_draws(n, T, rng, law), start=1):
@@ -315,14 +313,16 @@ def run_contraction(
         {"n": n, "replicas": replicas, "seed": seed, "law": _law_params(law)},
         seed,
     )
-    x0 = SimplexPoint.vertex(n, 1)
-    y0 = SimplexPoint.center(n)
-    z0 = sq_distance(x0, y0)
+    x0 = SimplexPoint.vertex(n, 1).values.tolist()
+    y0 = SimplexPoint.center(n).values.tolist()
+    z0 = _sq_distance_raw(x0, y0)
     ratios = np.empty(replicas)
     for r in range(replicas):
-        rng = _replica_rng(seed, r)
-        draw = sample_step_draw(n, rng, law)
-        ratios[r] = sq_distance(step(x0, draw), step(y0, draw)) / z0
+        draw = sample_step_draw(n, _replica_rng(seed, r), law)
+        xs, ys = x0.copy(), y0.copy()
+        _apply_step(xs, draw.i - 1, draw.j - 1, draw.lam)
+        _apply_step(ys, draw.i - 1, draw.j - 1, draw.lam)
+        ratios[r] = _sq_distance_raw(xs, ys) / z0
     run.total_steps = replicas
     observed = float(ratios.mean())
     se = float(ratios.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
@@ -348,36 +348,47 @@ def run_contraction(
 
 
 def run_couple(
-    cfg: ExperimentConfig, traces_path=None, records_path=None
+    n: int,
+    C: float,
+    replicas: int,
+    seed: int,
+    d: float | None = None,
+    e: float | None = None,
+    traces_path=None,
+    records_path=None,
 ) -> SummaryReport:
     """Burn-in plus one collision stage per replica; compare the coalescence
     frequency against the 1 - 8 n^-C target.
 
     Each replica couples a vertex start against an independent stationary
-    start: shared proportional steps for ``burn_in_steps(n, 4C)`` steps
-    (or n^-d closeness when d is given), then one stage of length
-    ``ceil(C n ln n)`` driven by a fresh random edge schedule, with subset
-    couplings attempted at the schedule's marked times.  Reported alongside
-    the frequency: its Wilson lower confidence bound, the largest absolute
-    weight mismatch over marked times of coalesced replicas (exact zero is
-    part of the coupling's contract), and a KS check that the stationary
-    side still has the stationary first-coordinate marginal at the end.
+    start: shared proportional steps for ``burn_in_steps(n, d)`` steps,
+    then one stage of length ``ceil(C n ln n)`` driven by a fresh random
+    edge schedule, with subset couplings attempted at the schedule's marked
+    times.  C scales the collision stage.  The exponents d and e
+    parameterize the burn-in target and a report-only monitor: burn-in
+    drives the expected squared distance to 2 n^-d, and the closeness
+    monitor asks for sup difference at most 2 n^-e at marked times.  Left
+    as None they resolve to the C-scaled defaults 4C and 2C.  (The floor
+    monitor's exponent is the fixed ``FLOOR_EXPONENT``.)  Reported
+    alongside the frequency: its Wilson lower confidence bound, the largest
+    absolute weight mismatch over marked times of coalesced replicas (exact
+    zero is part of the coupling's contract), and a KS check that the
+    stationary side still has the stationary first-coordinate marginal at
+    the end.
     """
-    n, C = cfg.n, cfg.C
+    if n < 2 or replicas < 1:
+        raise ValueError("need n >= 2, replicas >= 1")
+    d = 4.0 * C if d is None else d
+    e = 2.0 * C if e is None else e
+    for name, v in (("C", C), ("d", d), ("e", e)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"need {name} > 0, got {v!r}")
     run = _Run(
         "couple",
-        {
-            "n": n,
-            "C": C,
-            "b": FLOOR_EXPONENT,
-            "d": cfg.burn_exponent,
-            "e": cfg.closeness_exponent,
-            "replicas": cfg.replicas,
-            "seed": cfg.seed,
-        },
-        cfg.seed,
+        {"n": n, "C": C, "b": FLOOR_EXPONENT, "d": d, "e": e, "replicas": replicas, "seed": seed},
+        seed,
     )
-    burn = burn_in_steps(n, cfg.burn_exponent)
+    burn = burn_in_steps(n, d)
     T = stage_steps(n, C)
     coalesced = 0
     certified = 0
@@ -385,14 +396,14 @@ def run_couple(
     audit_max = 0.0
     marked_total = 0
     close_cond = 0
-    sup_after_burn = np.empty(cfg.replicas)
-    y_final = np.empty(cfg.replicas)
-    sup_target = 2.0 * float(n) ** (-cfg.closeness_exponent)
+    sup_after_burn = np.empty(replicas)
+    y_final = np.empty(replicas)
+    sup_target = 2.0 * float(n) ** (-e)
     floor_target = float(n) ** (-FLOOR_EXPONENT)
     rows = []
     records = []
-    for r in range(cfg.replicas):
-        rng = _replica_rng(cfg.seed, r)
+    for r in range(replicas):
+        rng = _replica_rng(seed, r)
         z = [] if traces_path is not None else None
         res = full_coupling_run(n, C, rng, burn=burn, z_out=z)
         if traces_path is not None:
@@ -423,29 +434,28 @@ def run_couple(
                     "weight_audit_max": float(rep_audit),
                 }
             )
-    run.total_steps = cfg.replicas * (burn + T)
+    run.total_steps = replicas * (burn + T)
     if traces_path is not None:
         _write_traces(traces_path, rows)
     if records_path is not None:
         _write_jsonl(records_path, records)
-    R = cfg.replicas
     bound = max(0.0, 1.0 - 8.0 * float(n) ** (-C))
-    freq = coalesced / R
-    lower = wilson_lower(coalesced, R)
+    freq = coalesced / replicas
+    lower = wilson_lower(coalesced, replicas)
     run.stat(
         "coalesced_frequency",
         freq,
-        R,
+        replicas,
         detail={"successes": coalesced, "burn": burn, "stage": T},
     )
-    run.stat("certified_frequency", certified / R, R)
-    run.stat("connected_frequency", connected / R, R)
-    run.stat("wilson_lower_bound", lower, R)
-    run.stat("target_bound", bound, R)
+    run.stat("certified_frequency", certified / replicas, replicas)
+    run.stat("connected_frequency", connected / replicas, replicas)
+    run.stat("wilson_lower_bound", lower, replicas)
+    run.stat("target_bound", bound, replicas)
     run.stat(
         "sup_diff_after_burn_mean",
         float(sup_after_burn.mean()),
-        R,
+        replicas,
         detail={"max": _num(sup_after_burn.max()), "target": _num(sup_target)},
     )
     if marked_total:
@@ -454,11 +464,11 @@ def run_couple(
             close_cond / marked_total,
             marked_total,
         )
-    run.stat("weight_audit_max_abs", audit_max, R)
+    run.stat("weight_audit_max_abs", audit_max, replicas)
     import scipy.stats as _st
 
     ks = _st.kstest(y_final, _coord_cdf(n))
-    run.stat("stationary_side_ks_p", float(ks.pvalue), R)
+    run.stat("stationary_side_ks_p", float(ks.pvalue), replicas)
     run.check("coalesced_frequency_at_least_bound", freq, bound, ">=")
     run.check("wilson_lower_above_bound", lower, bound, ">")
     run.check("weight_audit_exact_zero", audit_max, 0.0, "<=")
@@ -691,7 +701,6 @@ def run_discrete(
         {"n": n, "M": M, "steps": steps, "replicas": replicas, "seed": seed},
         seed,
     )
-    npairs = pair_count(n)
     q, rem = divmod(M, n)
     y0 = np.full(n, q, dtype=np.int64)
     y0[:rem] += 1
@@ -710,10 +719,8 @@ def run_discrete(
         y = y0.copy()
         if traces_path is not None:
             rows.append((r, 0, z0))
-        for t in range(1, steps + 1):
-            i, j = _pair_at(n, int(rng.integers(0, npairs)))
-            a, b = i - 1, j - 1
-            u = min(max(float(rng.random()), eps), 1.0 - eps)
+        for t, (a, b, lam) in enumerate(_step_draws(n, steps, rng), start=1):
+            u = min(max(lam, eps), 1.0 - eps)
             for c in (x, y):
                 s = int(c[a] + c[b])
                 if s > 0:

@@ -51,7 +51,10 @@ from .chain import (
     weight,
 )
 from .couplings import _subset_couple_columns
-from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
+from .partitions import EdgeSchedule, analyze_schedule
+
+# coupled runs coupling_time makes before it gives up
+_MAX_ATTEMPTS = 64
 
 
 def stage_steps(n: int, C: float) -> int:
@@ -66,47 +69,6 @@ def burn_in_steps(n: int, d: float) -> int:
     if n < 2 or d <= 0:
         raise ValueError("need n >= 2 and d > 0")
     return int(math.ceil(1.5 * d * n * math.log(n)))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parameters of a coupled-run experiment.
-
-    C scales the collision stage, ceil(C n ln n) steps.  The exponents d
-    and e parameterize the burn-in target and a report-only monitor:
-    burn-in runs burn_in_steps(n, d) steps to reach expected squared
-    distance 2 n^-d, and the closeness monitor asks for sup difference at
-    most 2 n^-e.  Leaving d or e as None resolves them to the C-scaled
-    defaults 4C and 2C.  (The floor monitor's exponent is the fixed
-    ``experiments.FLOOR_EXPONENT``.)
-    """
-
-    n: int
-    C: float = 1.0
-    d: float | None = None
-    e: float | None = None
-    replicas: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise ValueError(f"need C > 0, got {self.C!r}")
-        if self.replicas < 1:
-            raise ValueError("need at least one replica")
-        for name in ("d", "e"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ValueError(f"exponent {name} must be positive, got {v!r}")
-
-    @property
-    def burn_exponent(self) -> float:
-        return 4.0 * self.C if self.d is None else self.d
-
-    @property
-    def closeness_exponent(self) -> float:
-        return 2.0 * self.C if self.e is None else self.e
 
 
 def proportional_run(
@@ -176,7 +138,6 @@ def two_stage_pass(
     y: SimplexPoint,
     schedule: EdgeSchedule,
     rng: np.random.Generator,
-    analysis: PartitionAnalysis | None = None,
     z_out: list[float] | None = None,
 ) -> StagePassResult:
     """Run the collision stage along a fixed schedule.
@@ -184,7 +145,8 @@ def two_stage_pass(
     The fraction draws come from rng in time order: marked times consume a
     driver uniform and a thinning coin (plus one remainder uniform on
     failure), other times a single shared fraction.  The y chain is the
-    driver; its fractions are plain uniforms throughout.
+    driver; its fractions are plain uniforms throughout.  The split
+    structure comes from ``analyze_schedule(schedule)``.
 
     Weight-matching attempts are made only when the schedule is connected.
     A disconnected schedule cannot certify a collision, and its components
@@ -193,8 +155,7 @@ def two_stage_pass(
     """
     if x.n != y.n or x.n != schedule.n:
         raise ValueError("dimension mismatch")
-    if analysis is None:
-        analysis = analyze_schedule(schedule)
+    analysis = analyze_schedule(schedule)
     audits: list[MarkedAudit] = []
     failed_at: int | None = None
     ii, jj = schedule.edges[:, 0].tolist(), schedule.edges[:, 1].tolist()
@@ -298,16 +259,15 @@ def full_coupling_run(
     return FullRunResult(n=n, C=C, burn=burn, T=T, sup_diff_after_burn=sup_after, stage=stage)
 
 
-def coupling_time(n: int, C: float, rng: np.random.Generator, max_attempts: int = 64) -> int:
+def coupling_time(n: int, C: float, rng: np.random.Generator) -> int:
     """Total steps until a certified collision, repeating the run as needed.
 
     Each attempt costs burn + T steps whether or not it collides.  Raises
-    RuntimeError if max_attempts runs fail in a row (vanishingly unlikely
+    RuntimeError if _MAX_ATTEMPTS runs fail in a row (vanishingly unlikely
     for sensible C; the cap keeps bad parameters from looping forever).
     """
-    block = burn_in_steps(n, 4.0 * C) + stage_steps(n, C)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
         run = full_coupling_run(n, C, rng)
         if run.coalesced:
-            return attempt * block
-    raise RuntimeError(f"no collision in {max_attempts} attempts for n={n}, C={C}")
+            return attempt * (run.burn + run.T)
+    raise RuntimeError(f"no collision in {_MAX_ATTEMPTS} attempts for n={n}, C={C}")

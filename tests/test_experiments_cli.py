@@ -26,7 +26,7 @@ from simplex_gibbs.experiments import (
     wilson_lower,
 )
 from simplex_gibbs.partitions import EdgeSchedule
-from simplex_gibbs.two_stage import ExperimentConfig
+from simplex_gibbs.two_stage import burn_in_steps, stage_steps
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -184,8 +184,7 @@ class TestCouple:
     def test_report_records_traces(self, tmp_path):
         traces = tmp_path / "z.csv"
         records = tmp_path / "rep.jsonl"
-        cfg = ExperimentConfig(n=8, C=1.0, replicas=40, seed=2)
-        rep = run_couple(cfg, traces_path=traces, records_path=records)
+        rep = run_couple(8, 1.0, 40, 2, traces_path=traces, records_path=records)
         SUMMARY.validate(rep.to_json_dict())
         assert rep.parameters["d"] == pytest.approx(4.0)
         assert rep.parameters["e"] == pytest.approx(2.0)
@@ -210,8 +209,33 @@ class TestCouple:
         assert rep.total_steps == 40 * burn_plus_stage
 
     def test_checks_pass_at_moderate_scale(self):
-        rep = run_couple(ExperimentConfig(n=8, C=1.0, replicas=60, seed=21))
+        rep = run_couple(8, 1.0, 60, 21)
         assert rep.passed_all()
+
+    def test_validation(self, capsys):
+        for bad in (
+            dict(n=1),
+            dict(replicas=0),
+            *(dict(C=v) for v in (0.0, -1.0, math.inf, math.nan)),
+            *(dict(d=v) for v in (0.0, -2.0, math.inf, math.nan)),
+            *(dict(e=v) for v in (0.0, -2.0, math.inf, math.nan)),
+        ):
+            args = {"n": 4, "C": 1.0, "replicas": 2, "seed": 0, **bad}
+            with pytest.raises(ValueError):
+                run_couple(**args)
+        assert main(["couple", "--n", "5", "--replicas", "2", "--d", "inf"]) == 1
+        assert "error: need d > 0" in capsys.readouterr().err
+
+    def test_burn_and_closeness_exponents_from_flags(self, capsys):
+        rc = main(["couple", "--n", "5", "--replicas", "3", "--d", "3", "--e", "1", "--json"])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        SUMMARY.validate(rep)
+        assert (rep["parameters"]["d"], rep["parameters"]["e"]) == (3.0, 1.0)
+        detail = next(s["detail"] for s in rep["statistics"] if s["name"] == "coalesced_frequency")
+        assert detail["burn"] == burn_in_steps(5, 3) != burn_in_steps(5, 4.0)
+        assert detail["stage"] == stage_steps(5, 1.0)
+        assert rep["total_steps"] == 3 * (burn_in_steps(5, 3) + stage_steps(5, 1.0))
 
 
 class TestCftp:
@@ -298,8 +322,8 @@ class TestDeterminism:
             (run_connectivity(8, 1.0, 100, 9), run_connectivity(8, 1.0, 100, 9)),
             (run_cftp(2, 40, 9), run_cftp(2, 40, 9)),
             (
-                run_couple(ExperimentConfig(n=8, replicas=10, seed=9)),
-                run_couple(ExperimentConfig(n=8, replicas=10, seed=9)),
+                run_couple(8, 1.0, 10, 9),
+                run_couple(8, 1.0, 10, 9),
             ),
         ]:
             assert self._strip(a) == self._strip(b)

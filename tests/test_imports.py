@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,69 @@ def test_public_functions_have_a_caller_outside_tests():
         if name not in used
     ]
     assert not unused, f"public names with no caller in src/ or scripts/: {unused}"
+
+
+def _passed_arguments(paths) -> dict[str, tuple[set[str], float]]:
+    """Per called name: the keywords passed and the most positional arguments.
+
+    A name is the bare name or the attribute called.  ``*args`` counts as
+    every position and ``**kwargs`` as every keyword (``"**"``).
+    """
+    passed: dict[str, tuple[set[str], float]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords, most = passed.get(name, (set(), 0))
+            keywords |= {kw.arg or "**" for kw in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            passed[name] = (keywords, max(most, math.inf if starred else len(node.args)))
+    return passed
+
+
+def _public_defaulted_parameters(tree):
+    """Yield (qualified name, name, parameter, position) for each defaulted
+    parameter of a public function, or of a public method of a public class.
+
+    The position skips self or cls, and is None for a keyword-only parameter.
+    """
+    defs = [(node.name, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                    defs.append((f"{cls.name}.{node.name}", node, 0 if static else 1))
+    for qualname, node, skip in defs:
+        if node.name.startswith("_"):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        for k in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield qualname, node.name, positional[k].arg, k - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield qualname, node.name, arg.arg, None
+
+
+def test_public_defaults_have_a_caller_outside_tests():
+    # a parameter that only the tests set is API that exists for them, and a
+    # default that no caller overrides is a constant; perfbench/ counts as a
+    # caller because its worker runs the CLI
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "simplex_gibbs").glob("*.py"))
+    passed = _passed_arguments(
+        package + sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    )
+    unset = []
+    for path in package:
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, name, param, position in _public_defaulted_parameters(tree):
+            keywords, most = passed.get(name, (set(), 0))
+            if not (param in keywords or "**" in keywords or (position is not None and most > position)):
+                unset.append(f"{path.stem}.{qualname}({param}=)")
+    assert not unset, f"defaulted public parameters that no call in src/, scripts/ or perfbench/ sets: {unset}"
 
 
 def test_package_loads_under_another_name():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from simplex_gibbs import chain
+from simplex_gibbs import chain, two_stage
 from simplex_gibbs.chain import SimplexPoint, sample_step_draw, sample_uniform_simplex, sq_distance, step
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.two_stage import (
@@ -122,7 +124,7 @@ def test_stage_pass_small_connected_schedule():
     for _ in range(300):
         x = sample_uniform_simplex(3, rng)
         y = sample_uniform_simplex(3, rng)
-        res = two_stage_pass(x, y, sched, rng, ana)
+        res = two_stage_pass(x, y, sched, rng)
         # collision certified exactly when the whole mechanism went through
         assert res.coalesced == (res.connected and res.all_succeeded)
         if res.coalesced:
@@ -141,7 +143,7 @@ def test_stage_pass_disconnected_schedule_never_couples():
     for _ in range(20):
         x = sample_uniform_simplex(4, rng)
         y = sample_uniform_simplex(4, rng)
-        res = two_stage_pass(x, y, sched, rng, ana)
+        res = two_stage_pass(x, y, sched, rng)
         assert not res.coalesced and not res.all_succeeded
         assert res.audits == ()
 
@@ -236,7 +238,14 @@ def test_coupling_time_is_block_multiple():
     assert sorted(times)[len(times) // 2] == block
 
 
-def test_coupling_time_gives_up_on_hopeless_cap():
-    rng = np.random.default_rng(411)
-    with pytest.raises(RuntimeError):
-        coupling_time(16, 1.0, rng, max_attempts=0)
+def test_coupling_time_gives_up_on_hopeless_cap(monkeypatch):
+    calls = []
+
+    def never_coalesces(n, C, rng):
+        calls.append((n, C))
+        return SimpleNamespace(coalesced=False)
+
+    monkeypatch.setattr(two_stage, "full_coupling_run", never_coalesces)
+    with pytest.raises(RuntimeError, match=r"^no collision in 64 attempts for n=16, C=1\.0$"):
+        coupling_time(16, 1.0, np.random.default_rng(411))
+    assert calls == [(16, 1.0)] * 64
