@@ -117,7 +117,7 @@ def claim_product_bound(seed: int, schedules: int) -> None:
         for _ in range(schedules):
             rep = product_bound_check(analyze_schedule(EdgeSchedule.sample(n, T, rng)))
             worst = max(worst, rep.value / rep.threshold)
-            if rep.value > rep.threshold:
+            if not rep.ok:
                 verdict("split-product bound", False, f"{rep.value} > 2n at n={n}")
                 return
     verdict(

@@ -256,10 +256,10 @@ class LambdaLaw:
     def beta(cls, a: float) -> "LambdaLaw":
         return cls("beta", float(a))
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "uniform":
-            return rng.random() if size is None else rng.random(size)
-        return rng.beta(self.a, self.a) if size is None else rng.beta(self.a, self.a, size)
+            return rng.random()
+        return rng.beta(self.a, self.a)
 
     @property
     def lambda_sq(self) -> float:

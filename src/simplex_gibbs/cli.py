@@ -10,10 +10,12 @@ Usage: ``simplex-gibbs <command> [flags]`` with commands
   cftp          perfect samples via backward windows
   discrete      coupled mass-splitting chains with M balls
 
-Every command prints its SummaryReport (human lines, or one JSON object
-with ``--json``) and optionally writes it to ``--out`` as indented JSON;
-``couple`` additionally writes per-replica records next to ``--out`` with
-a ``.jsonl`` suffix.  ``--traces`` writes a replica,t,value CSV where the
+Each subcommand's parser sets ``run``, the call of its driver in
+``experiments`` on the parsed arguments, next to its flags.  Every command
+prints its SummaryReport (human lines, or one JSON object with ``--json``)
+and optionally writes it to ``--out`` as indented JSON; ``couple``
+additionally writes per-replica records next to ``--out`` with a
+``.jsonl`` suffix.  ``--traces`` writes a replica,t,value CSV where the
 value depends on the command (squared distance for chain commands, window
 coalescence flags for cftp).
 
@@ -74,6 +76,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each run looks _ex.run_* up when it is called, not when the parser is
+    # built, so a wrapper bound over a driver afterwards still runs
     parser = _Parser(prog="simplex-gibbs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -84,12 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", type=_law, default=LambdaLaw.uniform())
     p.add_argument("--traces", default=None, help="write replica,t,value CSV here")
     _add_common(p)
+    p.set_defaults(run=lambda a: _ex.run_simulate(
+        a.n, a.T, a.replicas, a.seed, law=a.law, traces_path=a.traces
+    ))
 
     p = sub.add_parser("contraction", help="one-step contraction ratio")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--replicas", type=int, default=10000)
     p.add_argument("--law", type=_law, default=LambdaLaw.uniform())
     _add_common(p)
+    p.set_defaults(run=lambda a: _ex.run_contraction(a.n, a.replicas, a.seed, law=a.law))
 
     p = sub.add_parser("couple", help="burn-in plus collision stage")
     p.add_argument("--n", type=int, required=True)
@@ -99,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=100)
     p.add_argument("--traces", default=None, help="write replica,t,value CSV here")
     _add_common(p)
+    p.set_defaults(run=lambda a: _ex.run_couple(
+        a.n, a.C, a.replicas, a.seed, d=a.d, e=a.e, traces_path=a.traces,
+        records_path=f"{a.out}.jsonl" if a.out else None,
+    ))
 
     p = sub.add_parser("connectivity", help="random edge schedule connectivity")
     p.add_argument("--n", type=int, required=True)
@@ -106,11 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--T", type=int, default=None, help="schedule length (default ceil((1/2+eps) n ln n))")
     _add_common(p)
+    p.set_defaults(run=lambda a: _ex.run_connectivity(a.n, a.epsilon, a.trials, a.seed, T=a.T))
 
     p = sub.add_parser("lowerbound", help="coordinate-collection waiting time")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     _add_common(p)
+    p.set_defaults(run=lambda a: _ex.run_lower_bound(a.n, a.trials, a.seed))
 
     p = sub.add_parser("cftp", help="perfect samples via backward windows")
     p.add_argument("--n", type=int, required=True)
@@ -118,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-doublings", type=int, default=MAX_DOUBLINGS_DEFAULT, help=argparse.SUPPRESS)
     p.add_argument("--traces", default=None, help="write replica,window,coalesced CSV here")
     _add_common(p)
+    p.set_defaults(run=lambda a: _ex.run_cftp(
+        a.n, a.samples, a.seed, max_doublings=a.max_doublings, traces_path=a.traces
+    ))
 
     p = sub.add_parser("discrete", help="coupled mass-splitting chains")
     p.add_argument("--n", type=int, required=True)
@@ -126,46 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=200)
     p.add_argument("--traces", default=None, help="write replica,t,value CSV here")
     _add_common(p)
+    p.set_defaults(run=lambda a: _ex.run_discrete(a.n, a.M, a.T, a.replicas, a.seed, traces_path=a.traces))
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> _ex.SummaryReport:
-    if args.command == "simulate":
-        return _ex.run_simulate(
-            args.n, args.T, args.replicas, args.seed, law=args.law, traces_path=args.traces
-        )
-    if args.command == "contraction":
-        return _ex.run_contraction(args.n, args.replicas, args.seed, law=args.law)
-    if args.command == "couple":
-        records = f"{args.out}.jsonl" if args.out else None
-        return _ex.run_couple(
-            args.n,
-            args.C,
-            args.replicas,
-            args.seed,
-            d=args.d,
-            e=args.e,
-            traces_path=args.traces,
-            records_path=records,
-        )
-    if args.command == "connectivity":
-        return _ex.run_connectivity(args.n, args.epsilon, args.trials, args.seed, T=args.T)
-    if args.command == "lowerbound":
-        return _ex.run_lower_bound(args.n, args.trials, args.seed)
-    if args.command == "cftp":
-        return _ex.run_cftp(
-            args.n,
-            args.samples,
-            args.seed,
-            max_doublings=args.max_doublings,
-            traces_path=args.traces,
-        )
-    if args.command == "discrete":
-        return _ex.run_discrete(
-            args.n, args.M, args.T, args.replicas, args.seed, traces_path=args.traces
-        )
-    raise ValueError(f"unknown command {args.command!r}")  # unreachable
 
 
 def main(argv=None) -> int:
@@ -175,7 +155,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        report = _dispatch(args)
+        report = args.run(args)
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -96,8 +96,11 @@ class SummaryReport:
 
     statistics: dicts with keys name, value, sample_size, seed and an
     optional detail mapping.  checks: dicts with keys name, passed,
-    observed, threshold, comparison.  Deterministic given the driver
-    arguments except for elapsed_seconds.
+    observed, threshold, comparison.  A driver builds the report from its
+    command, parameters and seed, which starts its clock, adds records
+    with ``stat`` and ``check``, and returns ``finish()``, which stamps
+    elapsed_seconds.  Deterministic given the driver arguments except for
+    elapsed_seconds.
     """
 
     command: str
@@ -107,6 +110,7 @@ class SummaryReport:
     checks: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
     total_steps: int = 0
+    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for s in self.statistics:
@@ -117,6 +121,36 @@ class SummaryReport:
             missing = {"name", "passed", "observed", "threshold", "comparison"} - set(c)
             if missing:
                 raise ValueError(f"check missing {sorted(missing)}: {c}")
+
+    def stat(self, name, value, sample_size, detail: dict | None = None) -> None:
+        rec = {
+            "name": name,
+            "value": _num(value),
+            "sample_size": int(sample_size),
+            "seed": int(self.seed),
+        }
+        if detail is not None:
+            rec["detail"] = detail
+        self.statistics.append(rec)
+
+    def check(self, name, observed, threshold, comparison) -> bool:
+        obs = _num(observed)
+        passed = obs is not None and _COMPARISONS[comparison](obs, float(threshold))
+        self.checks.append(
+            {
+                "name": name,
+                "passed": bool(passed),
+                "observed": obs,
+                "threshold": float(threshold),
+                "comparison": comparison,
+            }
+        )
+        return bool(passed)
+
+    def finish(self) -> "SummaryReport":
+        """Stamp the seconds since the report was built and return it."""
+        self.elapsed_seconds = time.perf_counter() - self._t0
+        return self
 
     def passed_all(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -152,55 +186,6 @@ class SummaryReport:
             f"  elapsed = {self.elapsed_seconds:.3f}s over {self.total_steps} steps"
         )
         return out
-
-
-class _Run:
-    """Accumulator for a report: stamps timing, enforces stat/check shape."""
-
-    def __init__(self, command: str, parameters: dict, seed: int):
-        self.command = command
-        self.parameters = parameters
-        self.seed = int(seed)
-        self.statistics: list = []
-        self.checks: list = []
-        self.total_steps = 0
-        self._t0 = time.perf_counter()
-
-    def stat(self, name, value, sample_size, detail: dict | None = None) -> None:
-        rec = {
-            "name": name,
-            "value": _num(value),
-            "sample_size": int(sample_size),
-            "seed": self.seed,
-        }
-        if detail is not None:
-            rec["detail"] = detail
-        self.statistics.append(rec)
-
-    def check(self, name, observed, threshold, comparison) -> bool:
-        obs = _num(observed)
-        passed = obs is not None and _COMPARISONS[comparison](obs, float(threshold))
-        self.checks.append(
-            {
-                "name": name,
-                "passed": bool(passed),
-                "observed": obs,
-                "threshold": float(threshold),
-                "comparison": comparison,
-            }
-        )
-        return bool(passed)
-
-    def report(self) -> SummaryReport:
-        return SummaryReport(
-            command=self.command,
-            parameters=self.parameters,
-            seed=self.seed,
-            statistics=self.statistics,
-            checks=self.checks,
-            elapsed_seconds=time.perf_counter() - self._t0,
-            total_steps=self.total_steps,
-        )
 
 
 def _replica_rng(seed: int, r: int) -> np.random.Generator:
@@ -255,7 +240,7 @@ def run_simulate(
     """
     if n < 2 or T < 0 or replicas < 1:
         raise ValueError("need n >= 2, T >= 0, replicas >= 1")
-    run = _Run(
+    run = SummaryReport(
         "simulate",
         {"n": n, "T": T, "replicas": replicas, "seed": seed, "law": _law_params(law)},
         seed,
@@ -290,7 +275,7 @@ def run_simulate(
 
         ks = _st.kstest(finals, _coord_cdf(n))
         run.stat("final_first_coordinate_ks_p", float(ks.pvalue), replicas)
-    return run.report()
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +293,7 @@ def run_contraction(
     """
     if n < 2 or replicas < 1:
         raise ValueError("need n >= 2, replicas >= 1")
-    run = _Run(
+    run = SummaryReport(
         "contraction",
         {"n": n, "replicas": replicas, "seed": seed, "law": _law_params(law)},
         seed,
@@ -340,7 +325,7 @@ def run_contraction(
         rel_err = abs(observed - predicted) / predicted
         run.stat("one_step_ratio_rel_error", rel_err, replicas)
         run.check("one_step_ratio_rel_error", rel_err, CONTRACTION_TOL, "<=")
-    return run.report()
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +368,7 @@ def run_couple(
     for name, v in (("C", C), ("d", d), ("e", e)):
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"need {name} > 0, got {v!r}")
-    run = _Run(
+    run = SummaryReport(
         "couple",
         {"n": n, "C": C, "b": FLOOR_EXPONENT, "d": d, "e": e, "replicas": replicas, "seed": seed},
         seed,
@@ -473,7 +458,7 @@ def run_couple(
     run.check("wilson_lower_above_bound", lower, bound, ">")
     run.check("weight_audit_exact_zero", audit_max, 0.0, "<=")
     run.check("stationary_side_ks_p", float(ks.pvalue), KS_ALPHA, ">")
-    return run.report()
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +481,7 @@ def run_connectivity(
         T = int(math.ceil((0.5 + epsilon) * n * math.log(n)))
     if T < 0:
         raise ValueError("need T >= 0")
-    run = _Run(
+    run = SummaryReport(
         "connectivity",
         {"n": n, "epsilon": epsilon, "trials": trials, "seed": seed, "T": T},
         seed,
@@ -515,7 +500,7 @@ def run_connectivity(
     run.stat("target_bound", bound, trials)
     run.stat("marked_count_mean", float(marked_counts.mean()), trials)
     run.check("connected_frequency_at_least_bound", freq, bound, ">=")
-    return run.report()
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +545,7 @@ def run_lower_bound(n: int, trials: int, seed: int) -> SummaryReport:
         raise ValueError("need n >= 3")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    run = _Run("lowerbound", {"n": n, "trials": trials, "seed": seed}, seed)
+    run = SummaryReport("lowerbound", {"n": n, "trials": trials, "seed": seed}, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     mask = np.zeros((trials, n), dtype=bool)
     mask[:, 0] = True
@@ -600,7 +585,7 @@ def run_lower_bound(n: int, trials: int, seed: int) -> SummaryReport:
             MEAN_SIGMA_MULT * se,
             "<=",
         )
-    return run.report()
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +612,7 @@ def run_cftp(
     """
     if n < 2 or samples < 1:
         raise ValueError("need n >= 2, samples >= 1")
-    run = _Run(
+    run = SummaryReport(
         "cftp",
         {
             "n": n,
@@ -674,7 +659,7 @@ def run_cftp(
     run.check("coordinate_ks_min_p", min(pvals), KS_ALPHA, ">")
     run.check("coordinate_means_within_3_sigma", mean_dev, MEAN_SIGMA_MULT * sigma, "<=")
     run.check("doublings_median_at_most_two", float(np.median(doublings)), 2.0, "<=")
-    return run.report()
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +681,7 @@ def run_discrete(
     """
     if n < 2 or M < n or steps < 1 or replicas < 1:
         raise ValueError("need n >= 2, M >= n, steps >= 1, replicas >= 1")
-    run = _Run(
+    run = SummaryReport(
         "discrete",
         {"n": n, "M": M, "steps": steps, "replicas": replicas, "seed": seed},
         seed,
@@ -749,4 +734,4 @@ def run_discrete(
     run.stat("decay_rel_error_vs_uniform", rel_err, replicas)
     run.check("decay_within_10pct_of_uniform", rel_err, DECAY_TOL, "<=")
     run.check("mass_conserved", violations, 0, "<=")
-    return run.report()
+    return run.finish()

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +44,8 @@ class EdgeSchedule:
     """Length-T sequence of 1-based coordinate pairs, one per time step.
 
     ``edges`` holds the pairs as one read-only (T, 2) int64 array, row s - 1
-    being the pair of time s.  ``pairs`` is the same schedule as a tuple of
-    (i, j) tuples of Python ints, built on first access.  Two schedules are
-    equal when they have the same n and the same pairs.
+    being the pair of time s.  Two schedules are equal when they have the
+    same n and the same pairs.
     """
 
     n: int
@@ -88,10 +86,6 @@ class EdgeSchedule:
     def T(self) -> int:
         return self.edges.shape[0]
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.edges.tolist()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeSchedule):
             return NotImplemented
@@ -108,18 +102,6 @@ class EdgeSchedule:
         edges = np.empty((T, 2), dtype=np.int64)
         edges[:, 0], edges[:, 1] = _pairs_at(n, rng.integers(0, pair_count(n), size=T))
         return cls(n, edges)
-
-    def to_lists(self) -> list[list[int]]:
-        """JSON form: [[i, j], ...] in time order."""
-        return self.edges.tolist()
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": self.to_lists()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EdgeSchedule":
-        """Inverse of to_json_dict; validates through the constructor."""
-        return cls(d["n"], d["edges"])
 
 
 @dataclass(frozen=True)

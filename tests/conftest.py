@@ -8,8 +8,6 @@ between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -34,17 +32,6 @@ def coordinate_cdf(t, n: int):
     """Marginal cdf of one coordinate under the uniform simplex law."""
     t = np.asarray(t, dtype=np.float64)
     return 1.0 - np.clip(1.0 - t, 0.0, 1.0) ** (n - 1)
-
-
-def wilson_lower(successes: int, trials: int, z: float = 1.959963984540054) -> float:
-    """Lower end of the Wilson score interval, default two-sided 95%."""
-    if trials == 0:
-        return 0.0
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = p + z * z / (2.0 * trials)
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-    return (center - half) / denom
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from simplex_gibbs.experiments import (
     run_simulate,
     wilson_lower,
 )
-from simplex_gibbs.partitions import EdgeSchedule
 from simplex_gibbs.two_stage import burn_in_steps, stage_steps
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -41,7 +40,6 @@ def _validator(name):
 SUMMARY = _validator("summary_report.schema.json")
 REPLICA = _validator("replica_record.schema.json")
 EPOCH = _validator("epoch_record.schema.json")
-SCHEDULE = _validator("edge_schedule.schema.json")
 
 
 def _read_traces(path):
@@ -350,13 +348,6 @@ class TestRecordSchemas:
         d = rec.to_json_dict()
         EPOCH.validate(d)
         assert d["final"] is None
-
-    def test_edge_schedule_roundtrip(self):
-        rng = np.random.default_rng(0)
-        s = EdgeSchedule.sample(6, 30, rng)
-        d = s.to_json_dict()
-        SCHEDULE.validate(d)
-        assert EdgeSchedule.from_json_dict(json.loads(json.dumps(d))) == s
 
 
 class TestCli:

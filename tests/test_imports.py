@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import simplex_gibbs
@@ -79,19 +80,59 @@ def test_public_functions_have_a_caller_outside_tests():
     assert not unused, f"public names with no caller in src/ or scripts/: {unused}"
 
 
-def _passed_arguments(paths) -> dict[str, tuple[set[str], float]]:
-    """Per called name: the keywords passed and the most positional arguments.
+def _attribute_reads(tree) -> Counter:
+    """How often each name is read as an attribute (``x.name``)."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
 
-    A name is the bare name or the attribute called.  ``*args`` counts as
-    every position and ``**kwargs`` as every keyword (``"**"``).
+
+def test_public_members_have_a_reader_outside_tests():
+    # a method or property of a public class that only the tests read is API
+    # that exists for them; a read inside the member's own body does not count
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "simplex_gibbs").glob("*.py"))
+    readers = package + sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    reads = sum((_attribute_reads(ast.parse(p.read_text(), str(p))) for p in readers), Counter())
+    unread = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in package
+        for cls in ast.parse(path.read_text(), str(path)).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and reads[node.name] == _attribute_reads(node)[node.name]
+    ]
+    assert not unread, f"public members with no reader in src/, scripts/ or perfbench/: {unread}"
+
+
+def _call_key(func) -> str | None:
+    """``Class.method`` for a call through a capitalised name or attribute,
+    else the bare name or attribute called."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if not isinstance(func, ast.Attribute):
+        return None
+    receiver = func.value
+    owner = receiver.id if isinstance(receiver, ast.Name) else getattr(receiver, "attr", "")
+    return f"{owner}.{func.attr}" if owner[:1].isupper() else func.attr
+
+
+def _passed_arguments(paths) -> dict[str, tuple[set[str], float]]:
+    """Per call key (see ``_call_key``): the keywords passed and the most
+    positional arguments.
+
+    ``*args`` counts as every position and ``**kwargs`` as every keyword
+    (``"**"``).
     """
     passed: dict[str, tuple[set[str], float]] = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _call_key(node.func)
             keywords, most = passed.get(name, (set(), 0))
             keywords |= {kw.arg or "**" for kw in node.keywords}
             starred = any(isinstance(a, ast.Starred) for a in node.args)
@@ -100,7 +141,7 @@ def _passed_arguments(paths) -> dict[str, tuple[set[str], float]]:
 
 
 def _public_defaulted_parameters(tree):
-    """Yield (qualified name, name, parameter, position) for each defaulted
+    """Yield (qualified name, parameter, position) for each defaulted
     parameter of a public function, or of a public method of a public class.
 
     The position skips self or cls, and is None for a keyword-only parameter.
@@ -117,10 +158,10 @@ def _public_defaulted_parameters(tree):
             continue
         positional = node.args.posonlyargs + node.args.args
         for k in range(len(positional) - len(node.args.defaults), len(positional)):
-            yield qualname, node.name, positional[k].arg, k - skip
+            yield qualname, positional[k].arg, k - skip
         for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
             if default is not None:
-                yield qualname, node.name, arg.arg, None
+                yield qualname, arg.arg, None
 
 
 def test_public_defaults_have_a_caller_outside_tests():
@@ -135,8 +176,11 @@ def test_public_defaults_have_a_caller_outside_tests():
     unset = []
     for path in package:
         tree = ast.parse(path.read_text(), str(path))
-        for qualname, name, param, position in _public_defaulted_parameters(tree):
-            keywords, most = passed.get(name, (set(), 0))
+        for qualname, param, position in _public_defaulted_parameters(tree):
+            # a method is called through its class or through an instance
+            calls = [passed.get(k, (set(), 0)) for k in {qualname, qualname.rpartition(".")[2]}]
+            keywords = set().union(*(kw for kw, _ in calls))
+            most = max(m for _, m in calls)
             if not (param in keywords or "**" in keywords or (position is not None and most > position)):
                 unset.append(f"{path.stem}.{qualname}({param}=)")
     assert not unset, f"defaulted public parameters that no call in src/, scripts/ or perfbench/ sets: {unset}"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -50,10 +49,19 @@ def _components(n, edges):
     return tuple(sorted(parts, key=lambda p: p[0]))
 
 
-def _partition_at(schedule, t):
-    """P(t): components of the graph of edges scheduled after time t."""
-    assert 0 <= t <= schedule.T
-    return _components(schedule.n, schedule.pairs[t:])
+def _pairs(schedule):
+    """The schedule's pairs as (i, j) tuples of Python ints, in time order.
+
+    Convert once per schedule: a conversion per time step makes the grid
+    tests quadratic in T.
+    """
+    return list(map(tuple, schedule.edges.tolist()))
+
+
+def _partition_at(n, pairs, t):
+    """P(t): components of the graph of the pairs scheduled after time t."""
+    assert 0 <= t <= len(pairs)
+    return _components(n, pairs[t:])
 
 
 def _reference_analysis(n, pairs):
@@ -93,8 +101,9 @@ def _analyze_eager(schedule):
         return k
 
     marked, splits = [], {}
+    pairs = _pairs(schedule)
     for s in range(schedule.T, 0, -1):
-        i, j = schedule.pairs[s - 1]
+        i, j = pairs[s - 1]
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
@@ -155,7 +164,7 @@ def test_lazy_analysis_matches_eager_oracle():
             assert ana.splits[s] == oracle.splits[s], (sched.n, sched.T, s)
         assert set(ana.splits) == set(oracle.splits)
         kinds["connected" if ana.connected else "disconnected"] += 1
-        kinds["repeated_edge"] += len(set(sched.pairs)) < sched.T
+        kinds["repeated_edge"] += len(set(_pairs(sched))) < sched.T
     # the grid reaches both outcomes and schedules that repeat an edge
     assert all(kinds.values()), kinds
 
@@ -218,9 +227,10 @@ def test_frozen_three_coordinate_example():
     ana = analyze_schedule(sched)
     assert ana.marked == (1, 2)
     assert ana.connected
-    assert _partition_at(sched, 0) == ((1, 2, 3),)
-    assert _partition_at(sched, 1) == ((1,), (2, 3))
-    assert _partition_at(sched, 2) == ((1,), (2,), (3,))
+    pairs = _pairs(sched)
+    assert _partition_at(3, pairs, 0) == ((1, 2, 3),)
+    assert _partition_at(3, pairs, 1) == ((1,), (2, 3))
+    assert _partition_at(3, pairs, 2) == ((1,), (2,), (3,))
     assert ana.splits[2].part == (2, 3)
     assert ana.splits[2].piece_small == (2,)
     assert ana.splits[1].part == (1, 2, 3)
@@ -264,7 +274,7 @@ def test_empty_and_trivial_schedules():
     ana = analyze_schedule(sched)
     assert ana.marked == ()
     assert not ana.connected
-    assert _partition_at(sched, 0) == ((1,), (2,), (3,), (4,), (5,))
+    assert _partition_at(5, _pairs(sched), 0) == ((1,), (2,), (3,), (4,), (5,))
     two = EdgeSchedule(2, ((1, 2),))
     ana2 = analyze_schedule(two)
     assert ana2.marked == (1,) and ana2.connected
@@ -296,8 +306,9 @@ def test_analysis_invariants(n, seed, mult):
         assert set(rec.piece_small) | large == set(rec.part)
         assert large in (set(rec.piece_i), set(rec.piece_j))
     # successive partitions refine as t grows
+    pairs = _pairs(sched)
     for t in range(1, sched.T + 1):
-        finer, coarser = _partition_at(sched, t), _partition_at(sched, t - 1)
+        finer, coarser = _partition_at(n, pairs, t), _partition_at(n, pairs, t - 1)
         cover = {v: p for p in coarser for v in p}
         for p in finer:
             assert set(p) <= set(cover[p[0]])
@@ -324,7 +335,7 @@ def test_schedule_sampler_uniform_over_pairs():
     rng = np.random.default_rng(15)
     sched = EdgeSchedule.sample(6, 30000, rng)
     counts = {}
-    for p in sched.pairs:
+    for p in _pairs(sched):
         counts[p] = counts.get(p, 0) + 1
     assert len(counts) == 15
     expected = sched.T / 15
@@ -341,7 +352,7 @@ def test_schedule_validation():
         EdgeSchedule(1, ())
     with pytest.raises(ValueError, match="time 2 out of range"):
         EdgeSchedule(3, ((1, 2), (2, 2), (3, 1)))
-    assert EdgeSchedule(3, ((1, 2),)).to_lists() == [[1, 2]]
+    assert EdgeSchedule(3, ((1, 2),)).edges.tolist() == [[1, 2]]
     # non-integer pairs are refused, even when they hold whole numbers
     for pairs in (((1.5, 2),), ((1.0, 2.0),), np.ones((1, 2), dtype=bool)):
         with pytest.raises(ValueError, match="integers"):
@@ -349,31 +360,24 @@ def test_schedule_validation():
     for pairs in (((1, 2, 3),), (1, 2), np.ones((1, 2, 2), dtype=np.int64)):
         with pytest.raises(ValueError, match="shape"):
             EdgeSchedule(3, pairs)
-    # numpy integers serialize as Python ints
-    wide = EdgeSchedule(3, ((np.int64(1), np.int64(3)),))
-    assert json.loads(json.dumps(wide.to_json_dict())) == {"n": 3, "edges": [[1, 3]]}
-    assert wide == EdgeSchedule(3, ((1, 3),))
-    # n must be an integer: JSON neither truncates nor parses it, and a
-    # numpy integer n serializes as a Python int
-    for d in ({"n": 3.7, "edges": [[1, 2]]}, {"n": "3", "edges": [[1, 2]]}):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            EdgeSchedule.from_json_dict(d)
-    for n in (3.5, True):
+    assert EdgeSchedule(3, ((np.int64(1), np.int64(3)),)) == EdgeSchedule(3, ((1, 3),))
+    # n must be an integer, neither truncated nor parsed, and a numpy
+    # integer n is stored as a Python int
+    for n in (3.7, "3", 3.5, True):
         with pytest.raises(ValueError, match="n must be an integer"):
             EdgeSchedule(n, ((1, 2),))
-    d = json.loads(json.dumps(EdgeSchedule(np.int64(3), ((1, 2),)).to_json_dict()))
-    assert d == {"n": 3, "edges": [[1, 2]]} and type(d["n"]) is int
+    assert type(EdgeSchedule(np.int64(3), ((1, 2),)).n) is int
 
 
 def test_decoded_schedule_equals_constructed_schedule():
     for n, T in ((2, 5), (16, 45), (1024, 700)):
         sched = EdgeSchedule.sample(n, T, np.random.default_rng(n))
-        assert EdgeSchedule(n, sched.edges) == EdgeSchedule(n, sched.pairs) == sched
-        assert hash(EdgeSchedule(n, sched.pairs)) == hash(sched)
+        pairs = _pairs(sched)
+        assert EdgeSchedule(n, sched.edges) == EdgeSchedule(n, pairs) == sched
+        assert hash(EdgeSchedule(n, pairs)) == hash(sched)
         assert sched.edges.shape == (T, 2) and sched.edges.dtype == np.int64
-        assert all(type(p) is tuple and type(p[0]) is int for p in sched.pairs)
     empty = EdgeSchedule(3, np.empty((0, 2), np.int64))
-    assert empty.T == 0 and empty == EdgeSchedule(3, ()) and empty.pairs == ()
+    assert empty.T == 0 and empty == EdgeSchedule(3, ()) and empty.edges.shape == (0, 2)
     assert EdgeSchedule(3, ((1, 2),)) != EdgeSchedule(4, ((1, 2),))
 
 
@@ -396,5 +400,5 @@ def test_edges_are_read_only():
         sched.edges[0, 0] = 2
     # the schedule holds its own copy of the caller's array
     source[0] = (1, 3)
-    assert sched.pairs == ((1, 2), (2, 3))
+    assert sched.edges.tolist() == [[1, 2], [2, 3]]
     assert source.flags.writeable
