@@ -52,6 +52,12 @@ between two load probes:
     ``cftp`` calls it), one share per repeat, unit "share";
   - ``full_coupling_run``: one burn-in plus collision stage at C = 1,
     averaged over the generators ``default_rng(0..7)``;
+  - ``two_stage_pass``: the collision stage of those runs alone, from the
+    burned-in states, schedules and generator states that
+    ``full_coupling_run`` reaches with ``default_rng(0..7)``; each call
+    restores its generator state into a fresh ``PCG64`` generator;
+  - ``run_couple``: one ``run_couple(16, 1.0, 25, seed)``, the couple-n16
+    benchmark chunk, averaged over the chunk seeds 10^6 .. 10^6 + 2;
   - ``burn_in_step``: one step of ``proportional_run`` from the first
     vertex and the barycenter, over the 267 steps of the C = 1 burn-in,
     averaged over the generators ``default_rng(0..7)``;
@@ -79,9 +85,11 @@ N = 16
 MASTER = 5
 REPLICAS = range(8)
 REPEATS = 9
-# the first three chunk seeds of cftp-n16's benchmark seed 1, 20 samples each
+# the first three chunk seeds of the benchmark seed 1: cftp-n16 runs 20
+# samples per chunk, couple-n16 25 replicas
 CHUNK_SEEDS = (1_000_000, 1_000_001, 1_000_002)
 CHUNK_SAMPLES = 20
+CHUNK_REPLICAS = 25
 # burn_in_steps(16, 4.0): the burn-in of a C = 1 coupled run at n = 16
 BURN_IN = 267
 
@@ -136,6 +144,21 @@ def marked_time_state(replica: int):
         chain._apply_step(center, i - 1, j - 1, u)
     _i, _j, u, coin = closing[first - 1]
     return tm.mat.copy(), center, analysis.splits[first], u, coin
+
+
+def stage_input(replica: int):
+    """(x, y, schedule, generator state) where ``full_coupling_run(N, 1.0)``
+    with ``default_rng(replica)`` starts its collision stage."""
+    import numpy as np
+
+    chain = importlib.import_module("simplex_gibbs.chain")
+    partitions = importlib.import_module("simplex_gibbs.partitions")
+    two_stage = importlib.import_module("simplex_gibbs.two_stage")
+    rng = np.random.default_rng(replica)
+    y0 = chain.sample_uniform_simplex(N, rng)
+    x, y = two_stage.proportional_run(chain.SimplexPoint.vertex(N, 1), y0, BURN_IN, rng)
+    schedule = partitions.EdgeSchedule.sample(N, two_stage.stage_steps(N, 1.0), rng)
+    return x, y, schedule, rng.bit_generator.state
 
 
 def layers() -> dict:
@@ -202,6 +225,18 @@ def layers() -> dict:
     out["run_cftp"] = (len(CHUNK_SEEDS), run_cftp_chunks)
     out["full_coupling_run"] = (len(REPLICAS), lambda: [
         two_stage.full_coupling_run(N, 1.0, np.random.default_rng(r)) for r in REPLICAS
+    ])
+    stages = [stage_input(r) for r in REPLICAS]
+
+    def run_stage(x, y, schedule, state):
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = state
+        return two_stage.two_stage_pass(x, y, schedule, rng)
+
+    out["two_stage_pass"] = (len(stages), lambda: [run_stage(*s) for s in stages])
+    experiments = importlib.import_module("simplex_gibbs.experiments")
+    out["run_couple"] = (len(CHUNK_SEEDS), lambda: [
+        experiments.run_couple(N, 1.0, CHUNK_REPLICAS, seed) for seed in CHUNK_SEEDS
     ])
     x0, y0 = chain.SimplexPoint.vertex(N, 1), chain.SimplexPoint.center(N)
     out["burn_in_step"] = (len(REPLICAS) * BURN_IN, lambda: [

@@ -18,8 +18,6 @@ from .chain import (
     sample_step_draw,
     sample_uniform_simplex,
     sq_distance,
-    step,
-    weight,
 )
 from .couplings import (
     PairCoupling,
@@ -67,11 +65,9 @@ __all__ = [
     "sample_step_draw",
     "sample_uniform_simplex",
     "sq_distance",
-    "step",
     "stage_steps",
     "success_probability",
     "two_stage_pass",
-    "weight",
     "wilson_lower",
 ]
 

@@ -17,6 +17,12 @@ Coupled runs elsewhere in the package build on these facts to certify
 coalescence and subset-weight agreement exactly instead of up to a
 tolerance.
 
+There is no stepping function for validated points: every loop of the
+package holds its chains as raw floats (a list, a vector or the columns of
+a matrix) and steps them in place with ``_apply_step``, building a
+validated ``SimplexPoint`` only where a point enters or leaves the loop.
+Subset weights are ``math.fsum`` sums taken where they are needed.
+
 Coordinate indices are 1-based everywhere in the public API.
 """
 
@@ -486,19 +492,6 @@ def _apply_step(arr: np.ndarray | list[float], i0: int | np.ndarray, j0: int | n
     arr[j0] = b
 
 
-def step(x: SimplexPoint, draw: StepDraw) -> SimplexPoint:
-    """Apply one pair-mixing step.
-
-    The updated pair is an exact split of the computed sum s = fl(x_i + x_j):
-    the two new coordinates sum to s with zero error.
-    """
-    if draw.j > x.n:
-        raise ValueError(f"pair ({draw.i}, {draw.j}) out of range for n={x.n}")
-    arr = np.array(x.values)
-    _apply_step(arr, draw.i - 1, draw.j - 1, draw.lam)
-    return SimplexPoint(arr)
-
-
 def sample_uniform_simplex(n: int, rng: np.random.Generator) -> SimplexPoint:
     """Exact draw from the uniform law on the simplex.
 
@@ -513,24 +506,6 @@ def sample_uniform_simplex(n: int, rng: np.random.Generator) -> SimplexPoint:
     return SimplexPoint(_normalized_exact(g))
 
 
-def _weight_arr(values: np.ndarray, idx0) -> float:
-    """fsum of values over 0-based indices; order-independent and exact."""
-    return math.fsum(float(values[k]) for k in idx0)
-
-
-def weight(S, x: SimplexPoint) -> float:
-    """Sum of coordinates over the 1-based index set S, exactly rounded.
-
-    Computed with math.fsum, so the result does not depend on the iteration
-    order of S; two point/set pairs with equal exact sums report bitwise
-    equal weights.
-    """
-    idx = sorted({int(k) for k in S})
-    if idx and (idx[0] < 1 or idx[-1] > x.n):
-        raise ValueError(f"subset indices out of range for n={x.n}")
-    return _weight_arr(x.values, [k - 1 for k in idx])
-
-
 def sq_distance(x: SimplexPoint, y: SimplexPoint) -> float:
     """Squared euclidean distance between two points of equal dimension."""
     if x.n != y.n:
@@ -542,7 +517,7 @@ def _sq_distance_raw(a: np.ndarray | list[float], b: np.ndarray | list[float]) -
     """Squared euclidean distance of two raw vectors, taken on float64 arrays.
 
     ``sq_distance`` and the raw-list loops both go through here, so a raw
-    loop reports the same bits as a loop over SimplexPoints.
+    loop reports the same bits as ``sq_distance`` of the same points.
     """
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.dot(d, d))

@@ -1,10 +1,11 @@
 """Couplings of two pair-mixing chains.
 
 Two mechanisms are provided.  The proportional coupling feeds the same
-(i, j, lam) draw to both chains (``chain.step`` applied to each); squared
-distance then contracts by the factor in ``chain.contraction_factor`` in
-expectation and never increases the per-coordinate gap, but it cannot make
-two continuous states collide in finite time for n > 2.
+(i, j, lam) draw to both chains (``chain._apply_step`` applied to each);
+squared distance then contracts by the factor in
+``chain.contraction_factor`` in expectation and never increases the
+per-coordinate gap, but it cannot make two continuous states collide in
+finite time for n > 2.
 
 The subset coupling is the collision mechanism.  Given a coordinate set S
 containing i but not j, the post-step weight of S agrees across the two

@@ -20,16 +20,18 @@ and the exact weight enforcement pins it to the partner chain's double.
 The first failed attempt demotes the remainder of the pass to proportional
 stepping; collision can then no longer be certified for that replica.
 
-The burn-in is the hot loop, so ``proportional_run`` steps raw float lists:
-its inputs are validated ``SimplexPoint``s, its draws come in bulk, one
-``sample_step_draw(n, rng, size=...)`` per bounded chunk of steps, and
-each draw is applied to both lists with ``chain._apply_step``; one
-validated ``SimplexPoint`` per chain is built at exit.  The bulk draws
-decode the generator's PCG64 words directly and equal the scalar draws
-bit for bit, leaving the generator where the scalar draws would, so the
-stage that follows reads the same stream.  The per-step arithmetic is the
-same IEEE double arithmetic as ``step``, so the result is bit for bit that
-of stepping validated points with scalar draws.
+Both phases are hot loops, so both walk raw float lists: the inputs are
+validated ``SimplexPoint``s, in between each chain is a list of doubles
+stepped in place with ``chain._apply_step``, and one validated
+``SimplexPoint`` per chain is built at exit.  ``proportional_run`` takes
+its draws in bulk, one ``sample_step_draw(n, rng, size=...)`` per bounded
+chunk of steps; the bulk draws decode the generator's PCG64 words directly
+and equal the scalar draws bit for bit, leaving the generator where the
+scalar draws would, so the stage that follows reads the same stream.
+``two_stage_pass`` draws one fraction per unmarked time and hands the two
+lists to ``couplings._subset_couple_columns`` as a one-column array at a
+marked time.  Piece weights are ``math.fsum`` sums, exact and independent
+of order, so the lists give the bits that validated points would.
 """
 
 from __future__ import annotations
@@ -41,14 +43,11 @@ import numpy as np
 
 from .chain import (
     SimplexPoint,
-    StepDraw,
     _apply_step,
     _sq_distance_raw,
     _step_draws,
     sample_uniform_simplex,
     sq_distance,
-    step,
-    weight,
 )
 from .couplings import _subset_couple_columns
 from .partitions import EdgeSchedule, analyze_schedule
@@ -87,10 +86,12 @@ def proportional_run(
     the generator yields them, and each is applied to both lists with
     ``chain._apply_step``.  When z_out is a list, the squared distance
     after each step is appended to it (one value per step).  Raises
-    ValueError for a negative step count.
+    ValueError for a step count that is negative, a bool or not an integer.
     """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     xs, ys = x.values.tolist(), y.values.tolist()
     for i0, j0, lam in _step_draws(x.n, steps, rng):
         _apply_step(xs, i0, j0, lam)
@@ -146,7 +147,8 @@ def two_stage_pass(
     driver uniform and a thinning coin (plus one remainder uniform on
     failure), other times a single shared fraction.  The y chain is the
     driver; its fractions are plain uniforms throughout.  The split
-    structure comes from ``analyze_schedule(schedule)``.
+    structure comes from ``analyze_schedule(schedule)``.  Both chains are
+    walked as raw float lists and validated once, at exit.
 
     Weight-matching attempts are made only when the schedule is connected.
     A disconnected schedule cannot certify a collision, and its components
@@ -156,21 +158,28 @@ def two_stage_pass(
     if x.n != y.n or x.n != schedule.n:
         raise ValueError("dimension mismatch")
     analysis = analyze_schedule(schedule)
+    splits = analysis.splits if analysis.connected else {}
     audits: list[MarkedAudit] = []
     failed_at: int | None = None
-    ii, jj = schedule.edges[:, 0].tolist(), schedule.edges[:, 1].tolist()
-    for s, (i, j) in enumerate(zip(ii, jj), start=1):
-        rec = analysis.splits.get(s) if analysis.connected else None
-        if rec is not None and failed_at is None:
-            pre_sup = float(np.max(np.abs(x.values - y.values)))
-            pre_min = float(min(np.min(x.values), np.min(y.values)))
+    xs, ys = x.values.tolist(), y.values.tolist()
+    ii, jj = (schedule.edges - 1).T.tolist()
+    for s, (i0, j0) in enumerate(zip(ii, jj), start=1):
+        rec = splits.get(s) if failed_at is None else None
+        if rec is None:
+            lam = float(rng.random())
+            _apply_step(xs, i0, j0, lam)
+            _apply_step(ys, i0, j0, lam)
+        else:
+            pre_sup = max(abs(a - b) for a, b in zip(xs, ys))
+            pre_min = min(min(xs), min(ys))
             u = float(rng.random())
             coin = float(rng.random())
             cols, y_next, (cpl,) = _subset_couple_columns(
-                x.values[:, None], y.values, rec, u, coin, rng.random
+                np.array(xs)[:, None], np.array(ys), rec, u, coin, rng.random
             )
-            x, y = SimplexPoint(cols[:, 0]), SimplexPoint(y_next)
-            diff = weight(rec.piece_small, x) - weight(rec.piece_small, y)
+            xs, ys = cols[:, 0].tolist(), y_next.tolist()
+            small = rec.piece_small
+            diff = math.fsum([xs[l - 1] for l in small]) - math.fsum([ys[l - 1] for l in small])
             audits.append(
                 MarkedAudit(
                     time=s,
@@ -180,18 +189,16 @@ def two_stage_pass(
                     m=cpl.m,
                     delta=cpl.delta,
                     p=cpl.p,
-                    piece_small_size=len(rec.piece_small),
+                    piece_small_size=len(small),
                     pre_sup_diff=pre_sup,
                     pre_min_coord=pre_min,
                 )
             )
             if not cpl.success:
                 failed_at = s
-        else:
-            draw = StepDraw(i, j, float(rng.random()))
-            x, y = step(x, draw), step(y, draw)
         if z_out is not None:
-            z_out.append(sq_distance(x, y))
+            z_out.append(_sq_distance_raw(xs, ys))
+    x, y = SimplexPoint(xs), SimplexPoint(ys)
     all_ok = failed_at is None and len(audits) == len(analysis.marked)
     return StagePassResult(
         x=x,
@@ -240,15 +247,15 @@ def full_coupling_run(
     collision transfers stationarity to the x chain.  Draw order: the
     stationary start, the burn-in step draws, then the whole stage
     schedule, then the stage fraction draws.  burn overrides the default
-    ceil(6 C n ln n) burn-in length; z_out, if a list, receives the squared
-    distance at every step, starting with the initial value.
+    ceil(6 C n ln n) burn-in length and, like any step count of
+    ``proportional_run``, must be a nonnegative integer; z_out, if a list,
+    receives the squared distance at every step, starting with the
+    initial value.
     """
     x0 = SimplexPoint.vertex(n, 1)
     y0 = sample_uniform_simplex(n, rng)
     if burn is None:
         burn = burn_in_steps(n, 4.0 * C)
-    elif burn < 0:
-        raise ValueError("burn must be nonnegative")
     T = stage_steps(n, C)
     if z_out is not None:
         z_out.append(sq_distance(x0, y0))

@@ -21,7 +21,6 @@ from simplex_gibbs.chain import (
     contraction_factor,
     sample_step_draw,
     sample_uniform_simplex,
-    step,
 )
 from simplex_gibbs.couplings import couple_lambdas, success_probability
 from simplex_gibbs.experiments import (
@@ -35,6 +34,8 @@ from simplex_gibbs.experiments import (
 )
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule, product_bound_check
 from simplex_gibbs.two_stage import coupling_time, full_coupling_run
+
+from conftest import step
 
 SEED = 1729
 KS_ALPHA = 1e-3

@@ -19,7 +19,6 @@ from simplex_gibbs.chain import (
     _pair_at,
     sample_step_draw,
     sample_uniform_simplex,
-    step,
 )
 from simplex_gibbs.cftp import (
     BudgetExhaustedError,
@@ -46,7 +45,7 @@ from simplex_gibbs.streams import (
     read_blocks,
 )
 
-from conftest import ALPHA, coordinate_cdf
+from conftest import ALPHA, coordinate_cdf, step
 from test_chain import _branchy_split
 
 

@@ -23,14 +23,12 @@ from simplex_gibbs.chain import (
     exact_split,
     sample_step_draw,
     sample_uniform_simplex,
-    step,
-    weight,
 )
 from simplex_gibbs.partitions import EdgeSchedule
 from simplex_gibbs.streams import _pairs_from_words
 from simplex_gibbs.two_stage import proportional_run
 
-from conftest import ALPHA, coordinate_cdf, uniform_simplex_oracle
+from conftest import ALPHA, coordinate_cdf, step, uniform_simplex_oracle, weight
 
 
 # ---------------------------------------------------------------- exact_split

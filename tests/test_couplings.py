@@ -17,8 +17,6 @@ from simplex_gibbs.chain import (
     _apply_step,
     _match_fsum,
     sample_uniform_simplex,
-    step,
-    weight,
 )
 from simplex_gibbs.couplings import (
     DEGENERATE,
@@ -35,7 +33,7 @@ from simplex_gibbs.couplings import (
 )
 from simplex_gibbs.partitions import EdgeSchedule, SplitRecord, analyze_schedule
 
-from conftest import ALPHA
+from conftest import ALPHA, step, weight
 
 # the (m, delta) grid exercised throughout: slopes both sides of 1 and
 # intercepts of both signs

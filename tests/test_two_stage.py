@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from simplex_gibbs import chain, two_stage
-from simplex_gibbs.chain import SimplexPoint, sample_step_draw, sample_uniform_simplex, sq_distance, step
+from simplex_gibbs.chain import (
+    SimplexPoint,
+    StepDraw,
+    sample_step_draw,
+    sample_uniform_simplex,
+    sq_distance,
+)
+from simplex_gibbs.couplings import _subset_couple_columns
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule
 from simplex_gibbs.two_stage import (
+    MarkedAudit,
+    StagePassResult,
     burn_in_steps,
     coupling_time,
     full_coupling_run,
@@ -18,6 +29,8 @@ from simplex_gibbs.two_stage import (
     stage_steps,
     two_stage_pass,
 )
+
+from conftest import step, weight
 
 
 # ------------------------------------------------------------- step counts
@@ -112,7 +125,92 @@ def test_proportional_run_refuses_negative_steps():
         proportional_run(x0, y0, -5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("steps", [True, 2.5])
+def test_step_counts_must_be_integers(steps):
+    # a bool would run one step and report burn=True; a float would fail
+    # deep inside range() with a TypeError
+    x0, y0 = SimplexPoint.vertex(4, 1), SimplexPoint.center(4)
+    with pytest.raises(ValueError, match="integer"):
+        proportional_run(x0, y0, steps, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="integer"):
+        full_coupling_run(4, 1.0, np.random.default_rng(0), burn=steps)
+
+
+def test_numpy_integer_step_counts_are_accepted():
+    a = full_coupling_run(4, 1.0, np.random.default_rng(0), burn=np.int64(5))
+    b = full_coupling_run(4, 1.0, np.random.default_rng(0), burn=5)
+    assert a.burn == 5
+    assert a.stage.x.equals_bitwise(b.stage.x) and a.stage.y.equals_bitwise(b.stage.y)
+
+
 # ------------------------------------------------------------- stage pass
+
+
+def _two_stage_pass_reference(x, y, schedule, rng, z_out=None):
+    """The collision stage as one validated SimplexPoint pair per step."""
+    analysis = analyze_schedule(schedule)
+    audits = []
+    failed_at = None
+    for s, (i, j) in enumerate(schedule.edges.tolist(), start=1):
+        rec = analysis.splits.get(s) if analysis.connected else None
+        if rec is not None and failed_at is None:
+            pre_sup = float(np.max(np.abs(x.values - y.values)))
+            pre_min = float(min(np.min(x.values), np.min(y.values)))
+            u = float(rng.random())
+            coin = float(rng.random())
+            cols, y_next, (cpl,) = _subset_couple_columns(
+                x.values[:, None], y.values, rec, u, coin, rng.random
+            )
+            x, y = SimplexPoint(cols[:, 0]), SimplexPoint(y_next)
+            diff = weight(rec.piece_small, x) - weight(rec.piece_small, y)
+            audits.append(
+                MarkedAudit(
+                    time=s,
+                    success=cpl.success,
+                    reason=cpl.reason,
+                    weight_diff=diff,
+                    m=cpl.m,
+                    delta=cpl.delta,
+                    p=cpl.p,
+                    piece_small_size=len(rec.piece_small),
+                    pre_sup_diff=pre_sup,
+                    pre_min_coord=pre_min,
+                )
+            )
+            if not cpl.success:
+                failed_at = s
+        else:
+            draw = StepDraw(i, j, float(rng.random()))
+            x, y = step(x, draw), step(y, draw)
+        if z_out is not None:
+            z_out.append(sq_distance(x, y))
+    return StagePassResult(
+        x=x,
+        y=y,
+        connected=analysis.connected,
+        all_succeeded=failed_at is None and len(audits) == len(analysis.marked),
+        failed_at=failed_at,
+        coalesced=x.equals_bitwise(y),
+        audits=tuple(audits),
+    )
+
+
+def _bits(value):
+    """A stage result or audit field as comparable bits: floats as hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, SimplexPoint):
+        return [v.hex() for v in value.values.tolist()]
+    if isinstance(value, MarkedAudit):
+        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _assert_stages_equal_bitwise(got, want):
+    for f in dataclasses.fields(StagePassResult):
+        assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
 
 
 def test_stage_pass_small_connected_schedule():
@@ -136,16 +234,26 @@ def test_stage_pass_small_connected_schedule():
 
 
 def test_stage_pass_disconnected_schedule_never_couples():
+    # the schedule has marked times, but a disconnected one attempts none,
+    # and the pass equals the validated-point reference bit for bit
     sched = EdgeSchedule(4, ((1, 2), (3, 4), (1, 2)))
     ana = analyze_schedule(sched)
-    assert not ana.connected
+    assert not ana.connected and ana.marked
     rng = np.random.default_rng(403)
     for _ in range(20):
         x = sample_uniform_simplex(4, rng)
         y = sample_uniform_simplex(4, rng)
-        res = two_stage_pass(x, y, sched, rng)
+        state = rng.bit_generator.state
+        z: list[float] = []
+        res = two_stage_pass(x, y, sched, rng, z_out=z)
         assert not res.coalesced and not res.all_succeeded
         assert res.audits == ()
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = state
+        z_ref: list[float] = []
+        _assert_stages_equal_bitwise(res, _two_stage_pass_reference(x, y, sched, ref_rng, z_ref))
+        assert [v.hex() for v in z] == [v.hex() for v in z_ref]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_stage_audits_record_why_an_attempt_failed():
@@ -175,6 +283,47 @@ def test_stage_pass_dimension_mismatch():
     y = sample_uniform_simplex(5, rng)
     with pytest.raises(ValueError):
         two_stage_pass(x, y, EdgeSchedule(4, ((1, 2),)), rng)
+
+
+def test_stage_pass_matches_reference_bitwise(monkeypatch):
+    # the list walk against the per-step validated-point loop it replaced:
+    # final bits, flags, every audit field, the z trace and the generator
+    # position after the run
+    reasons = Counter()
+    for n in (2, 3, 5, 8, 16, 64):
+        for C in (0.5, 1.0):
+            for seed in range(15 if n == 64 else 60):
+                runs = []
+                for stage in (two_stage_pass, _two_stage_pass_reference):
+                    monkeypatch.setattr(two_stage, "two_stage_pass", stage)
+                    rng = np.random.default_rng([n, seed])
+                    z: list[float] = []
+                    run = full_coupling_run(n, C, rng, z_out=z)
+                    runs.append((run, [v.hex() for v in z], rng.random()))
+                (got, z_got, next_got), (want, z_want, next_want) = runs
+                _assert_stages_equal_bitwise(got.stage, want.stage)
+                assert got.sup_diff_after_burn.hex() == want.sup_diff_after_burn.hex()
+                assert z_got == z_want and next_got.hex() == next_want.hex()
+                reasons.update(a.reason for a in got.stage.audits)
+    assert {"ok", "out_of_range", "thinned", "nudge_refused"} <= set(reasons)
+
+
+@pytest.mark.parametrize("T", [0, 5, 45, 400])
+def test_stage_pass_builds_two_points_whatever_its_length(T, monkeypatch):
+    # validated points are built at exit only, not per step
+    rng = np.random.default_rng(415)
+    x, y = SimplexPoint.vertex(16, 1), sample_uniform_simplex(16, rng)
+    sched = EdgeSchedule.sample(16, T, rng)
+    built = []
+    post_init = SimplexPoint.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(SimplexPoint, "__post_init__", counting)
+    two_stage_pass(x, y, sched, rng)
+    assert len(built) == 2
 
 
 # ------------------------------------------------------------- full runs
