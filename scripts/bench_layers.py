@@ -19,8 +19,8 @@ between two load probes:
     row;
   - ``exact_split``: one scalar pair split, over a fixed set of 1000
     fractions and pair sums;
-  - ``shared_step``: one shared step of all n columns of a
-    ``TransitionMatrix``, over the first 1000 draws of window 1;
+  - ``shared_step``: one shared step of all n columns of ``np.eye(n)``,
+    one ``chain._apply_step``, over the first 1000 draws of window 1;
   - ``decode``: reading and decoding window 1 of replica 0 into pairs,
     fractions and coins, phase by phase, chunk by chunk through
     ``streams._draws_backward_batch`` with the one replica;
@@ -120,6 +120,8 @@ def marked_time_state(replica: int):
     with ``read_blocks`` and decoded with ``_pairs_from_words``, in time
     order.
     """
+    import numpy as np
+
     cftp = importlib.import_module("simplex_gibbs.cftp")
     chain = importlib.import_module("simplex_gibbs.chain")
     streams = importlib.import_module("simplex_gibbs.streams")
@@ -131,19 +133,19 @@ def marked_time_state(replica: int):
         i, j = streams._pairs_from_words(rows[:, 0], N)
         return list(zip(i.tolist(), j.tolist(), rows[:, 1].tolist(), rows[:, 2].tolist()))
 
-    tm = cftp.TransitionMatrix.identity(N)
+    mat = np.eye(N)
     center = chain.SimplexPoint.center(N).values.copy()
     for i, j, lam, _coin in draws(lo + p2, hi):
-        tm.shared_step(i, j, lam)
+        chain._apply_step(mat, i - 1, j - 1, lam)
         chain._apply_step(center, i - 1, j - 1, lam)
     closing = draws(lo, lo + p2)
     analysis = partitions.analyze_schedule(partitions.EdgeSchedule(N, [(i, j) for i, j, _u, _c in closing]))
     first = analysis.marked[0]
     for i, j, u, _coin in closing[: first - 1]:
-        tm.shared_step(i, j, u)
+        chain._apply_step(mat, i - 1, j - 1, u)
         chain._apply_step(center, i - 1, j - 1, u)
     _i, _j, u, coin = closing[first - 1]
-    return tm.mat.copy(), center, analysis.splits[first], u, coin
+    return mat.copy(), center, analysis.splits[first], u, coin
 
 
 def stage_input(replica: int):
@@ -177,9 +179,9 @@ def layers() -> dict:
     streams = importlib.import_module("simplex_gibbs.streams")
     rows = streams.read_blocks(MASTER, 0, 0, 1000)
     ii, jj = streams._pairs_from_words(rows[:, 0], N)
-    draws = list(zip(ii.tolist(), jj.tolist(), rows[:, 1].tolist()))
-    tm = cftp.TransitionMatrix.identity(N)
-    out["shared_step"] = (len(draws), lambda: [tm.shared_step(i, j, lam) for i, j, lam in draws])
+    draws = list(zip((ii - 1).tolist(), (jj - 1).tolist(), rows[:, 1].tolist()))
+    mat = np.eye(N)
+    out["shared_step"] = (len(draws), lambda: [chain._apply_step(mat, i0, j0, lam) for i0, j0, lam in draws])
     lo, hi, _p1, p2 = cftp.window_geometry(N, 1)
     phases = ((lo + p2, hi), (lo, lo + p2))
 

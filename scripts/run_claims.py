@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from simplex_gibbs.cftp import TransitionMatrix
 from simplex_gibbs.chain import (
     _apply_step,
     contraction_factor,
@@ -183,17 +182,18 @@ def claim_cftp(seed: int, samples: int) -> None:
 def claim_matrix_linearity(seed: int) -> None:
     n, steps = 5, 200
     rng = np.random.default_rng(seed)
-    tm = TransitionMatrix.identity(n)
-    draws = [sample_step_draw(n, rng) for _ in range(steps)]
-    for d in draws:
-        tm.shared_step(d.i, d.j, d.lam)
+    mat = np.eye(n)  # column v is the chain started at vertex v + 1
+    ii, jj, lams = sample_step_draw(n, rng, size=steps)
+    draws = list(zip((ii - 1).tolist(), (jj - 1).tolist(), lams.tolist()))
+    for i0, j0, lam in draws:
+        _apply_step(mat, i0, j0, lam)
     worst = 0.0
     for _ in range(10):
         x = sample_uniform_simplex(n, rng)
         direct = x.values.tolist()
-        for d in draws:
-            _apply_step(direct, d.i - 1, d.j - 1, d.lam)
-        worst = max(worst, float(np.max(np.abs(tm.mat @ x.values - np.array(direct)))))
+        for i0, j0, lam in draws:
+            _apply_step(direct, i0, j0, lam)
+        worst = max(worst, float(np.max(np.abs(mat @ x.values - np.array(direct)))))
     verdict(
         "transition matrix tracks the chain",
         worst < 1e-12,

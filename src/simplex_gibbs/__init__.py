@@ -4,7 +4,6 @@ from .cftp import (
     BudgetExhaustedError,
     CftpResult,
     EpochRecord,
-    TransitionMatrix,
     cftp_sample,
     propagate_through_epoch,
     run_epoch,
@@ -12,7 +11,6 @@ from .cftp import (
 from .chain import (
     LambdaLaw,
     SimplexPoint,
-    StepDraw,
     contraction_factor,
     exact_split,
     sample_step_draw,
@@ -50,9 +48,7 @@ __all__ = [
     "PartitionAnalysis",
     "SimplexPoint",
     "SplitRecord",
-    "StepDraw",
     "SummaryReport",
-    "TransitionMatrix",
     "analyze_schedule",
     "cftp_sample",
     "contraction_factor",

@@ -2,8 +2,8 @@
 
 The sampler examines disjoint windows of past time, nearest first, each
 twice the length of the one before.  Inside a window it runs a grand
-coupling of n + 1 tracked chains: the n vertex chains, carried jointly as a
-:class:`TransitionMatrix`, and a barycenter chain that acts as the driver.
+coupling of n + 1 tracked chains: the n vertex chains, carried jointly as the
+columns of one matrix, and a barycenter chain that acts as the driver.
 A window has two phases.  The long opening phase applies shared draws to
 every chain, shrinking the vertex images toward the driver.  The short
 closing phase layers the window's final edges: at each marked time every
@@ -20,15 +20,15 @@ One walk, ``_walk_windows``, runs every window, tracked or replayed, for
 one replica or a group.  Each replica's chains (the n vertex chains of a
 tracked run, or the one chain of a replay) are the columns of its own
 matrix, with the driver as the last column, and the group's matrices are
-stacked in one :class:`TransitionMatrix`: every shared step is one
-``TransitionMatrix.shared_step`` for all chains, and every marked-time
-attempt one ``couplings._subset_couple_columns`` call on a replica's
-followers against its driver.  A tracked run notes why its first failing
-column failed; a replayed chain attempts with its own slope and intercept
-and resolves its own failures from per-block remainder draws.  The map each
-window applies is thus one fixed function of the stream, no matter when or
-beside which replicas it is walked.  Window 1 has the same geometry for
-every replica, so ``experiments.run_cftp`` walks it for groups of samples
+stacked in one float array: every shared step is one ``chain._apply_step``
+on that array for all chains, and every marked-time attempt one
+``couplings._subset_couple_columns`` call on a replica's followers against
+its driver.  A tracked run notes why its first failing column failed; a
+replayed chain attempts with its own slope and intercept and resolves its
+own failures from per-block remainder draws.  The map each window applies
+is thus one fixed function of the stream, no matter when or beside which
+replicas it is walked.  Window 1 has the same geometry for every replica,
+so ``experiments.run_cftp`` walks it for groups of samples
 (``_first_epochs``); ``cftp_sample`` walks deeper windows and replays with
 one replica.  If the budget of window doublings is exhausted without a
 certificate the sampler raises instead of returning a biased point.
@@ -96,44 +96,6 @@ def window_geometry(n: int, k: int) -> tuple[int, int, int, int]:
     length = hi - lo
     p2 = (length * t2 + t - 1) // t
     return lo, hi, length - p2, p2
-
-
-@dataclass
-class TransitionMatrix:
-    """Chains stepped together, one per column, by shared pair-mixing steps.
-
-    Started from the identity, column v holds the current state of the
-    chain started at vertex e_(v+1).  Because each shared step acts
-    linearly on the state, ``mat @ x`` for any starting point x reproduces
-    (up to accumulated rounding, not bitwise) the chain run directly from
-    x with the same draws.  A shared step is one ``chain._apply_step`` on
-    the whole matrix, the same exact split as a single chain applied
-    entrywise, so each column IS the single-chain trajectory of its start,
-    bit for bit.  A window walk holds R matrices of n rows and C + 1
-    columns stacked as one (R * n, C + 1) matrix, row i of matrix r being
-    stacked row r * n + i (1-based), with the driver as the last column;
-    a replay's matrix has one follower column.
-    """
-
-    mat: np.ndarray
-
-    @classmethod
-    def identity(cls, n: int) -> "TransitionMatrix":
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
-        return cls(np.eye(n))
-
-    @property
-    def n(self) -> int:
-        return int(self.mat.shape[0])
-
-    def shared_step(self, i, j, lam) -> None:
-        """Apply one shared step with pair (i, j), 1-based, to all columns.
-
-        i and j may also be arrays of stacked rows and lam an (R, 1) array:
-        matrix r then steps its rows i[r] and j[r] with lam[r, 0].
-        """
-        _apply_step(self.mat, i - 1, j - 1, lam)
 
 
 @dataclass(frozen=True)
@@ -251,18 +213,23 @@ def _walk_windows(
     """Walk window [lo, hi) forward in time for R replicas at once.
 
     starts is an (R, n, C) array: replica replicas[r] walks the C columns
-    starts[r] with the barycenter driver as one more column, the R
-    matrices stacked in one TransitionMatrix, so a shared step of all of
-    them is one ``TransitionMatrix.shared_step``; one replica steps on
-    Python scalars, about twice as fast as on index arrays.  Each replica's
-    blocks are decoded in bounded chunks by ``streams._draws_backward_batch``
-    and its closing schedule analyzed on its own.  The opening phase,
-    blocks [lo + p2, hi) in time order, applies every draw as a shared
-    step.  In the closing phase, time s (1-based) owns block lo + p2 - s.
-    Every time is a shared step, except a replica's marked times before its
-    cutoff, where all its columns attempt the fraction coupling against its
-    driver column in one ``_subset_couple_columns`` call; a failed relation
-    draws its remainder from the block (``aux_uniform``, read at most once).
+    starts[r] with the barycenter driver as one more column.  The walk
+    holds the R matrices stacked as one (R * n, C + 1) float array, row i
+    of matrix r (1-based) being its row r * n + i - 1, and a shared step of
+    all of them is one ``chain._apply_step`` on it; one replica steps on
+    Python scalars, about twice as fast as on index arrays.  A shared step
+    is the exact split of each column's pair sum, so every column is the
+    single-chain trajectory of its start, bit for bit; started from the
+    identity, the columns carry the opening phase's map, which acts
+    linearly (up to rounding) on any start.  Each replica's blocks are
+    decoded in bounded chunks by ``streams._draws_backward_batch`` and its
+    closing schedule analyzed on its own.  The opening phase, blocks
+    [lo + p2, hi) in time order, applies every draw as a shared step.  In
+    the closing phase, time s (1-based) owns block lo + p2 - s.  Every time
+    is a shared step, except a replica's marked times before its cutoff,
+    where all its columns attempt the fraction coupling against its driver
+    column in one ``_subset_couple_columns`` call; a failed relation draws
+    its remainder from the block (``aux_uniform``, read at most once).
 
     cutoffs=None is the tracked run: a replica stops at its first attempt
     with a failed column, noting the first such column, and keeps its state
@@ -275,21 +242,20 @@ def _walk_windows(
     driver and its failure note.
     """
     reps, n, cols = starts.shape
-    walk = TransitionMatrix(np.empty((reps * n, cols + 1)))
-    mat = walk.mat.reshape(reps, n, cols + 1)
+    walk = np.empty((reps * n, cols + 1))
+    mat = walk.reshape(reps, n, cols + 1)
     mat[:, :, :cols] = starts
     mat[:, :, cols] = SimplexPoint.center(n).values
-    shared_step = walk.shared_step
-    base = np.arange(reps) * n  # row i of matrix r is stacked row base[r] + i
+    base = np.arange(reps) * n - 1  # row i (1-based) of matrix r is walk row base[r] + i
 
-    def every_replica(ii, jj, lams):  # each time's shared step of all R matrices
+    def every_replica(ii, jj, lams):  # each time's 0-based rows and fractions of all R matrices
         if reps == 1:
-            return zip(ii[0].tolist(), jj[0].tolist(), lams[0].tolist())
+            return zip((ii[0] - 1).tolist(), (jj[0] - 1).tolist(), lams[0].tolist())
         return zip((ii + base[:, None]).T, (jj + base[:, None]).T, lams.T[:, :, None])
 
     for ii, jj, lams, _coins in _draws_backward_batch(master, replicas, lo + p2, hi, n):
-        for i, j, lam in every_replica(ii, jj, lams):
-            shared_step(i, j, lam)
+        for i0, j0, lam in every_replica(ii, jj, lams):
+            _apply_step(walk, i0, j0, lam)
 
     ii, jj, us, coins = (
         np.concatenate(parts, axis=1)
@@ -304,17 +270,17 @@ def _walk_windows(
     live = np.ones(reps, dtype=bool)
     stopped = 0
     notes: list[FailureNote | None] = [None] * reps
-    for s, (i, j, lam) in enumerate(every_replica(ii, jj, us), start=1):
+    for s, (i0, j0, lam) in enumerate(every_replica(ii, jj, us), start=1):
         t = s - 1
         if s not in attempts and not stopped:
-            shared_step(i, j, lam)
+            _apply_step(walk, i0, j0, lam)
             continue
         tries = [r for r in attempts.get(s, ()) if live[r]]
         if len(tries) < reps - stopped:  # some live replica takes the shared step
             step = live.copy()
             step[tries] = False
             step = np.flatnonzero(step)
-            shared_step(ii[step, t] + base[step], jj[step, t] + base[step], us[step, t][:, None])
+            _apply_step(walk, ii[step, t] + base[step], jj[step, t] + base[step], us[step, t][:, None])
         for r in tries:
             aux = cache(partial(aux_uniform, master, replicas[r], lo + p2 - s))
             xs, y, cpls = _subset_couple_columns(
@@ -361,7 +327,7 @@ def _epoch_record(
 def run_epoch(n: int, master: int, replica: int, k: int) -> EpochRecord:
     """Run window k's tracked chains and report whether it certified."""
     lo, hi, _p1, p2 = window_geometry(n, k)
-    walked = _walk_windows(TransitionMatrix.identity(n).mat[None], master, (replica,), lo, hi, p2)
+    walked = _walk_windows(np.eye(n)[None], master, (replica,), lo, hi, p2)
     return _epoch_record(n, master, replica, k, *walked[0])
 
 

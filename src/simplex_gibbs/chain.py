@@ -21,7 +21,10 @@ There is no stepping function for validated points: every loop of the
 package holds its chains as raw floats (a list, a vector or the columns of
 a matrix) and steps them in place with ``_apply_step``, building a
 validated ``SimplexPoint`` only where a point enters or leaves the loop.
-Subset weights are ``math.fsum`` sums taken where they are needed.
+Subset weights are ``math.fsum`` sums taken where they are needed.  Step
+draws likewise come only as arrays: ``sample_step_draw(..., size=K)``
+returns K pairs and fractions at once, and ``_pairs_at`` decodes pair
+numbers in bulk.
 
 Coordinate indices are 1-based everywhere in the public API.
 """
@@ -219,23 +222,6 @@ class SimplexPoint:
 
 
 @dataclass(frozen=True)
-class StepDraw:
-    """One step's randomness: coordinate pair 1 <= i < j and fraction lam."""
-
-    i: int
-    j: int
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.i, (int, np.integer)) and isinstance(self.j, (int, np.integer))):
-            raise ValueError("pair indices must be integers")
-        if not 1 <= self.i < self.j:
-            raise ValueError(f"need 1 <= i < j, got i={self.i}, j={self.j}")
-        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam!r}")
-
-
-@dataclass(frozen=True)
 class LambdaLaw:
     """Symmetric law on [0, 1] for the mixing fraction.
 
@@ -294,30 +280,30 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pair_at(n: int, k: int) -> tuple[int, int]:
-    """Pair number k of n as 1-based (i, j), row-major over i < j.
+def _step_count(k, name: str) -> int:
+    """k as a count of steps or draws; ValueError unless a nonnegative integer.
 
-    The order is that of np.triu_indices(n, 1).  Counted from the end,
-    back = c - 1 - k falls in row r from the bottom, which holds r + 1 pairs,
-    where r is the largest integer with r(r + 1)/2 <= back.  math.isqrt keeps
-    this exact for every n, so no O(n^2) table is needed.
+    A bool is refused although it is an int: True would quietly count as one.
     """
-    back = n * (n - 1) // 2 - 1 - k
-    r = (math.isqrt(8 * back + 1) - 1) // 2
-    return n - 1 - r, n - back + r * (r + 1) // 2
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
+    return int(k)
 
 
 def _pairs_at(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pair_at`` over an integer array of pair numbers: (i, j) as int64 arrays.
+    """Pair numbers k of n as 1-based (i, j) int64 arrays, row-major over i < j.
 
-    The row r comes from a float square root of 8 back + 1.  The root of
-    the rounded perfect square (2r + 1)^2 is exactly 2r + 1, and rounding
-    and the root are monotone, so the float floor is never too low; it can
-    be one row too high when 8 back + 1 rounds up to the next square, and
-    one integer correction makes r exact.  The root is at least 1, so
-    truncating (root - 1) / 2, a halving without rounding, is its floor.
-    Raises ValueError for an n whose pair numbers would overflow int64 in
-    8 back + 1, instead of decoding them wrongly.
+    The order is that of np.triu_indices(n, 1).  Counted from the end,
+    back = c - 1 - k falls in row r from the bottom, which holds r + 1 pairs,
+    where r is the largest integer with r(r + 1)/2 <= back, so no O(n^2)
+    table is needed.  The row r comes from a float square root of
+    8 back + 1.  The root of the rounded perfect square (2r + 1)^2 is
+    exactly 2r + 1, and rounding and the root are monotone, so the float
+    floor is never too low; it can be one row too high when 8 back + 1
+    rounds up to the next square, and one integer correction makes r exact.
+    The root is at least 1, so truncating (root - 1) / 2, a halving without
+    rounding, is its floor.  Raises ValueError for an n whose pair numbers
+    would overflow int64 in 8 back + 1, instead of decoding them wrongly.
     """
     c = n * (n - 1) // 2
     if 8 * c - 7 > np.iinfo(np.int64).max:
@@ -329,7 +315,7 @@ def _pairs_at(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scalar_draws(n: int, rng: np.random.Generator, law: LambdaLaw, size: int):
-    """Pair numbers and fractions of size scalar draws, as sample_step_draw makes them."""
+    """Pair numbers and fractions of size draws, one pair of generator calls each."""
     c = pair_count(n)
     k = np.empty(size, dtype=np.int64)
     lam = np.empty(size)
@@ -421,32 +407,29 @@ def _bulk_decoding() -> bool:
 
 
 def sample_step_draw(
-    n: int, rng: np.random.Generator, law: LambdaLaw | None = None, size: int | None = None
-) -> StepDraw | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one step's randomness: a uniform unordered pair and a law draw.
+    n: int, rng: np.random.Generator, law: LambdaLaw | None = None, *, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw size steps' randomness: uniform unordered pairs and law draws.
 
     Args:
         n: dimension, n >= 2.
         rng: numpy Generator.
         law: mixing law; uniform by default.
-        size: None for one draw, else the number of draws K >= 0.
+        size: the number of draws K, a nonnegative integer.
 
     Returns:
-        StepDraw with 1-based indices i < j; with size=K, arrays (i, j, lam)
-        of K draws, equal draw for draw to K scalar calls, with rng left as
-        those calls leave it.  Uniform draws from a PCG64 generator with
-        c = n(n-1)/2 < 2^32 are decoded in bulk (``_decode_draws``); every
-        other case, and a decode that meets a Lemire rejection, draws
-        scalar.
+        Arrays (i, j, lam) of K draws with 1-based indices i < j.  Draw t
+        is the pair number ``rng.integers(0, n(n-1)/2)`` (row-major over
+        i < j) and then the fraction ``law.sample(rng)``, the K draws in
+        turn, and rng is left where those calls leave it.  Uniform draws
+        from a PCG64 generator with c = n(n-1)/2 < 2^32 are decoded in bulk
+        (``_decode_draws``); every other case, and a decode that meets a
+        Lemire rejection, makes the K pairs of calls one at a time.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    size = _step_count(size, "size")
     law = law if law is not None else _UNIFORM
-    if size is None:
-        i, j = _pair_at(n, int(rng.integers(0, pair_count(n))))
-        return StepDraw(i, j, float(law.sample(rng)))
-    if size < 0:
-        raise ValueError(f"size must be nonnegative, got {size}")
     drawn = None
     bg = rng.bit_generator
     if (
@@ -466,9 +449,9 @@ def _step_draws(n: int, steps: int, rng: np.random.Generator, law: LambdaLaw | N
 
     One ``sample_step_draw(..., size=...)`` per chunk of at most
     ``_DRAW_CHUNK`` steps, so memory stays bounded for any step count.
+    Raises ValueError, once iterated, unless steps is a nonnegative integer.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = _step_count(steps, "steps")
     for start in range(0, steps, _DRAW_CHUNK):
         i, j, lam = sample_step_draw(n, rng, law, size=min(_DRAW_CHUNK, steps - start))
         yield from zip((i - 1).tolist(), (j - 1).tolist(), lam.tolist())

@@ -29,10 +29,11 @@ from .chain import (
     LambdaLaw,
     SimplexPoint,
     _apply_step,
+    _pairs_at,
     _sq_distance_raw,
     _step_draws,
     contraction_factor,
-    sample_step_draw,
+    pair_count,
     sq_distance,
 )
 from .partitions import EdgeSchedule, analyze_schedule
@@ -288,6 +289,8 @@ def run_contraction(
     """One shared-draw step from a fixed pair; compare E[Z_1]/Z_0 to theory.
 
     The fixed pair is a vertex against the barycenter, so Z_0 = (n-1)/n.
+    Replica r draws its step from its own stream: the pair number
+    ``rng.integers(0, n(n-1)/2)``, then the fraction ``law.sample(rng)``.
     The predicted ratio is ``contraction_factor(n, E[lam^2])``; at n = 2 the
     prediction is zero and the check demands exact collision.
     """
@@ -298,20 +301,28 @@ def run_contraction(
         {"n": n, "replicas": replicas, "seed": seed, "law": _law_params(law)},
         seed,
     )
+    mix = law if law is not None else LambdaLaw.uniform()
     x0 = SimplexPoint.vertex(n, 1).values.tolist()
     y0 = SimplexPoint.center(n).values.tolist()
     z0 = _sq_distance_raw(x0, y0)
-    ratios = np.empty(replicas)
+    c = pair_count(n)
+    ks = np.empty(replicas, dtype=np.int64)
+    lams = np.empty(replicas)
     for r in range(replicas):
-        draw = sample_step_draw(n, _replica_rng(seed, r), law)
+        rng = _replica_rng(seed, r)
+        ks[r] = rng.integers(0, c)
+        lams[r] = mix.sample(rng)
+    ii, jj = _pairs_at(n, ks)
+    ratios = np.empty(replicas)
+    for r, (i, j, lam) in enumerate(zip(ii.tolist(), jj.tolist(), lams.tolist())):
         xs, ys = x0.copy(), y0.copy()
-        _apply_step(xs, draw.i - 1, draw.j - 1, draw.lam)
-        _apply_step(ys, draw.i - 1, draw.j - 1, draw.lam)
+        _apply_step(xs, i - 1, j - 1, lam)
+        _apply_step(ys, i - 1, j - 1, lam)
         ratios[r] = _sq_distance_raw(xs, ys) / z0
     run.total_steps = replicas
     observed = float(ratios.mean())
     se = float(ratios.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    predicted = contraction_factor(n, (law if law is not None else LambdaLaw.uniform()).lambda_sq)
+    predicted = contraction_factor(n, mix.lambda_sq)
     run.stat(
         "one_step_ratio",
         observed,
@@ -612,6 +623,8 @@ def run_cftp(
     """
     if n < 2 or samples < 1:
         raise ValueError("need n >= 2, samples >= 1")
+    if max_doublings < 1:
+        raise ValueError("max_doublings must be >= 1")
     run = SummaryReport(
         "cftp",
         {

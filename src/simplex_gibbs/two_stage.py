@@ -26,8 +26,9 @@ stepped in place with ``chain._apply_step``, and one validated
 ``SimplexPoint`` per chain is built at exit.  ``proportional_run`` takes
 its draws in bulk, one ``sample_step_draw(n, rng, size=...)`` per bounded
 chunk of steps; the bulk draws decode the generator's PCG64 words directly
-and equal the scalar draws bit for bit, leaving the generator where the
-scalar draws would, so the stage that follows reads the same stream.
+and equal one generator call per pair and per fraction bit for bit,
+leaving the generator where those calls would, so the stage that follows
+reads the same stream.
 ``two_stage_pass`` draws one fraction per unmarked time and hands the two
 lists to ``couplings._subset_couple_columns`` as a one-column array at a
 marked time.  Piece weights are ``math.fsum`` sums, exact and independent
@@ -82,16 +83,16 @@ def proportional_run(
     The points are validated on entry and rebuilt as validated points on
     exit; in between both chains are raw float lists.  The draws come from
     ``sample_step_draw(n, rng, size=...)``, one call per bounded chunk of
-    steps (``chain._step_draws``), equal to the scalar draws in the order
-    the generator yields them, and each is applied to both lists with
-    ``chain._apply_step``.  When z_out is a list, the squared distance
-    after each step is appended to it (one value per step).  Raises
-    ValueError for a step count that is negative, a bool or not an integer.
+    steps (``chain._step_draws``), equal to one generator call per pair and
+    per fraction in the order the generator yields them, and each is
+    applied to both lists with ``chain._apply_step``.  When z_out is a
+    list, the squared distance after each step is appended to it (one
+    value per step).  Raises
+    ValueError for a step count that is negative, a bool or not an integer
+    (``chain._step_draws`` checks it).
     """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     xs, ys = x.values.tolist(), y.values.tolist()
     for i0, j0, lam in _step_draws(x.n, steps, rng):
         _apply_step(xs, i0, j0, lam)

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from simplex_gibbs.cftp import TransitionMatrix, cftp_sample
+from simplex_gibbs.cftp import cftp_sample
 from simplex_gibbs.chain import (
     SimplexPoint,
+    _apply_step,
     contraction_factor,
-    sample_step_draw,
     sample_uniform_simplex,
 )
 from simplex_gibbs.couplings import couple_lambdas, success_probability
@@ -35,7 +35,7 @@ from simplex_gibbs.experiments import (
 from simplex_gibbs.partitions import EdgeSchedule, analyze_schedule, product_bound_check
 from simplex_gibbs.two_stage import coupling_time, full_coupling_run
 
-from conftest import step
+from conftest import draw_step, step
 
 SEED = 1729
 KS_ALPHA = 1e-3
@@ -74,11 +74,11 @@ def test_criterion_02_n2_exact_coalescence():
     for _ in range(10000):
         x = sample_uniform_simplex(2, rng)
         y = sample_uniform_simplex(2, rng)
-        d = sample_step_draw(2, rng)
+        d = draw_step(2, rng)
         hits += step(x, d).equals_bitwise(step(y, d))
     assert hits == 10000
     # extreme pair as well: vertex against barycenter
-    d = sample_step_draw(2, rng)
+    d = draw_step(2, rng)
     assert step(SimplexPoint.vertex(2, 1), d).equals_bitwise(step(SimplexPoint.center(2), d))
     print("[PASS] criterion 2: 10000/10000 n=2 pairs collide bit-exactly in one step")
 
@@ -253,17 +253,17 @@ def test_criterion_11_matrix_linearity_oracle():
     to L_inf < 1e-12 over 1000 shared-draw steps from 10 random starts."""
     n, steps = 5, 1000
     rng = _rng(11)
-    draws = [sample_step_draw(n, rng) for _ in range(steps)]
-    tm = TransitionMatrix.identity(n)
+    draws = [draw_step(n, rng) for _ in range(steps)]
+    mat = np.eye(n)
     for d in draws:
-        tm.shared_step(d.i, d.j, d.lam)
+        _apply_step(mat, d.i - 1, d.j - 1, d.lam)
     worst = 0.0
     for _ in range(10):
         x = sample_uniform_simplex(n, rng)
         direct = x
         for d in draws:
             direct = step(direct, d)
-        worst = max(worst, float(np.max(np.abs(tm.mat @ x.values - direct.values))))
+        worst = max(worst, float(np.max(np.abs(mat @ x.values - direct.values))))
     assert worst < 1e-12
     print(f"[PASS] criterion 11: matrix vs direct L_inf = {worst:.2e} < 1e-12")
 

@@ -1,4 +1,4 @@
-"""Backward-window perfect sampler: streams, matrix, windows, output law."""
+"""Backward-window perfect sampler: streams, matrix walks, windows, output law."""
 
 import dataclasses
 import json
@@ -12,19 +12,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from simplex_gibbs import cftp, streams
-from simplex_gibbs.chain import (
-    SimplexPoint,
-    StepDraw,
-    _apply_step,
-    _pair_at,
-    sample_step_draw,
-    sample_uniform_simplex,
-)
+from simplex_gibbs.chain import SimplexPoint, _apply_step, sample_uniform_simplex
 from simplex_gibbs.cftp import (
     BudgetExhaustedError,
     CftpResult,
     FailureNote,
-    TransitionMatrix,
     _first_epochs,
     _walk_windows,
     cftp_sample,
@@ -45,29 +37,33 @@ from simplex_gibbs.streams import (
     read_blocks,
 )
 
-from conftest import ALPHA, coordinate_cdf, step
+from conftest import ALPHA, StepDraw, coordinate_cdf, draw_step, pair_at, step
 from test_chain import _branchy_split
 
 
-def _spread(tm):
+def _shared_step(mat, d):
+    """One shared step of every column of mat with the 1-based draw d."""
+    _apply_step(mat, d.i - 1, d.j - 1, d.lam)
+
+
+def _spread(mat):
     """Largest coordinate range across columns; 0 iff all columns equal."""
-    return float(np.max(tm.mat.max(axis=1) - tm.mat.min(axis=1)))
+    return float(np.max(mat.max(axis=1) - mat.min(axis=1)))
 
 
-def _column_sums(tm):
-    return np.array([math.fsum(tm.mat[:, v]) for v in range(tm.n)])
+def _column_sums(mat):
+    return np.array([math.fsum(mat[:, v]) for v in range(mat.shape[1])])
 
 
-def _l1_diameter_bound(tm):
+def _l1_diameter_bound(m):
     """Max L1 distance between two columns; bounds the map's image diameter.
 
     Any two starting points map into the convex hull of the columns, so
     their images' L1 distance is at most the largest pairwise column
     distance.  The identity matrix gives 2; a fully collided map gives 0.
     """
-    m = tm.mat
     best = 0.0
-    for a in range(tm.n - 1):
+    for a in range(m.shape[1] - 1):
         diffs = np.abs(m[:, a + 1 :] - m[:, a : a + 1]).sum(axis=0)
         best = max(best, float(diffs.max()))
     return best
@@ -164,98 +160,100 @@ def test_window_geometry_invariants(n, k):
     assert p2 == math.ceil((hi - lo) * t2 / (t1 + t2))
 
 
-# ----------------------------------------------------- transition matrix
+# ---------------------------------------------- matrix of vertex chains
+# The windows walk the n vertex chains as the columns of np.eye(n), each
+# shared step one ``_apply_step`` on the whole matrix.
 
 def test_matrix_columns_are_vertex_chains_bitwise(rng):
-    draws = [sample_step_draw(5, rng) for _ in range(300)]
-    tm = TransitionMatrix.identity(5)
+    draws = [draw_step(5, rng) for _ in range(300)]
+    mat = np.eye(5)
     for d in draws:
-        tm.shared_step(d.i, d.j, d.lam)
+        _shared_step(mat, d)
     for v in range(1, 6):
         chain = SimplexPoint.vertex(5, v)
         for d in draws:
             chain = step(chain, d)
-        assert np.array_equal(tm.mat[:, v - 1], chain.values)
-    assert np.all(np.abs(_column_sums(tm) - 1.0) < 1e-12)
+        assert np.array_equal(mat[:, v - 1], chain.values)
+    assert np.all(np.abs(_column_sums(mat) - 1.0) < 1e-12)
 
 
 def test_shared_step_matches_scalar_splits_per_column(rng):
     # every entry of rows i and j is the oracle split of its column's pair
     # sum, bit for bit, including zero pair sums of the identity's columns
-    tm = TransitionMatrix.identity(16)
-    ref = tm.mat.T.tolist()
+    mat = np.eye(16)
+    ref = mat.T.tolist()
     lams = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324]
     for t in range(400):
-        d = sample_step_draw(16, rng)
+        d = draw_step(16, rng)
         lam = lams[t] if t < len(lams) else d.lam
-        tm.shared_step(d.i, d.j, lam)
+        _apply_step(mat, d.i - 1, d.j - 1, lam)
         for col in ref:
             col[d.i - 1], col[d.j - 1] = _branchy_split(lam, col[d.i - 1] + col[d.j - 1])
-        assert tm.mat.tobytes() == np.array(ref).T.tobytes()
+        assert mat.tobytes() == np.array(ref).T.tobytes()
 
 
 def test_matrix_apply_tracks_direct_chains(rng):
-    draws = [sample_step_draw(5, rng) for _ in range(1000)]
-    tm = TransitionMatrix.identity(5)
+    draws = [draw_step(5, rng) for _ in range(1000)]
+    mat = np.eye(5)
     for d in draws:
-        tm.shared_step(d.i, d.j, d.lam)
+        _shared_step(mat, d)
     for _ in range(10):
         x0 = SimplexPoint(rng.dirichlet(np.ones(5)))
         direct = x0
         for d in draws:
             direct = step(direct, d)
-        assert float(np.max(np.abs(tm.mat @ x0.values - direct.values))) < 1e-12
+        assert float(np.max(np.abs(mat @ x0.values - direct.values))) < 1e-12
     # shared steps are contractions: vertex images end almost collided
-    assert _spread(tm) < 1e-6
+    assert _spread(mat) < 1e-6
 
 
 def test_matrix_identity_and_validation():
-    tm = TransitionMatrix.identity(3)
-    assert np.array_equal(tm.mat, np.eye(3))
-    assert tm.n == 3 and _spread(tm) == 1.0
+    # run_epoch starts its walk from np.eye(n)[None]; window_geometry refuses n < 2
+    mat = np.eye(3)
+    assert mat.shape == (3, 3) and _spread(mat) == 1.0
+    assert np.array_equal(_column_sums(mat), np.ones(3))
     with pytest.raises(ValueError):
-        TransitionMatrix.identity(1)
+        run_epoch(1, 0, 0, 1)
 
 
 def test_shared_step_columns_are_one_step_images():
-    tm = TransitionMatrix.identity(4)
+    mat = np.eye(4)
     d = StepDraw(2, 4, 0.3)
-    tm.shared_step(d.i, d.j, d.lam)
+    _shared_step(mat, d)
     # every column is the one-step image of its vertex, bit for bit
     for v in range(1, 5):
-        assert np.array_equal(tm.mat[:, v - 1], step(SimplexPoint.vertex(4, v), d).values)
+        assert np.array_equal(mat[:, v - 1], step(SimplexPoint.vertex(4, v), d).values)
 
 
 def test_half_splits_converge_to_flat_matrix():
-    tm = TransitionMatrix.identity(3)
+    mat = np.eye(3)
     for _ in range(40):
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            tm.shared_step(i, j, 0.5)
-    assert np.max(np.abs(tm.mat - 1.0 / 3.0)) < 1e-9
+        for i0, j0 in ((0, 1), (0, 2), (1, 2)):
+            _apply_step(mat, i0, j0, 0.5)
+    assert np.max(np.abs(mat - 1.0 / 3.0)) < 1e-9
 
 
 def test_l1_diameter_bound_endpoints_and_domination(rng):
-    assert _l1_diameter_bound(TransitionMatrix.identity(4)) == 2.0
-    collided = TransitionMatrix(np.tile(rng.dirichlet(np.ones(4))[:, None], (1, 4)))
+    assert _l1_diameter_bound(np.eye(4)) == 2.0
+    collided = np.tile(rng.dirichlet(np.ones(4))[:, None], (1, 4))
     assert _l1_diameter_bound(collided) == 0.0
-    tm = TransitionMatrix.identity(4)
+    mat = np.eye(4)
     for _ in range(5):
-        d = sample_step_draw(4, rng)
-        tm.shared_step(d.i, d.j, d.lam)
-    bound = _l1_diameter_bound(tm)
+        _shared_step(mat, draw_step(4, rng))
+    bound = _l1_diameter_bound(mat)
     for _ in range(1000):
         v, w = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-        assert float(np.abs(tm.mat @ v - tm.mat @ w).sum()) <= bound + 1e-12
+        assert float(np.abs(mat @ v - mat @ w).sum()) <= bound + 1e-12
 
 
 def test_column_stochasticity_over_a_million_steps(rng):
-    tm = TransitionMatrix.identity(5)
+    mat = np.eye(5)
     idx = rng.integers(0, 10, size=1_000_000)
     lams = rng.random(1_000_000)
     ii, jj = np.triu_indices(5, 1)
     for t in range(1_000_000):
-        tm.shared_step(int(ii[idx[t]]) + 1, int(jj[idx[t]]) + 1, float(lams[t]))
-    assert float(np.max(np.abs(_column_sums(tm) - 1.0))) < 1e-9
+        _apply_step(mat, int(ii[idx[t]]), int(jj[idx[t]]), float(lams[t]))
+    assert float(np.max(np.abs(_column_sums(mat) - 1.0))) < 1e-9
 
 
 def test_opening_phase_diameter_collapse(rng):
@@ -264,12 +262,12 @@ def test_opening_phase_diameter_collapse(rng):
     assert steps == 500
     ii, jj = np.triu_indices(8, 1)
     for _ in range(1000):
-        tm = TransitionMatrix.identity(8)
+        mat = np.eye(8)
         idx = rng.integers(0, len(ii), size=steps)
         lams = rng.random(steps)
         for t in range(steps):
-            tm.shared_step(int(ii[idx[t]]) + 1, int(jj[idx[t]]) + 1, float(lams[t]))
-        assert _l1_diameter_bound(tm) <= 8.0 ** -3
+            _apply_step(mat, int(ii[idx[t]]), int(jj[idx[t]]), float(lams[t]))
+        assert _l1_diameter_bound(mat) <= 8.0 ** -3
 
 
 # ----------------------------------------------------------------- epochs
@@ -384,7 +382,7 @@ def test_tracked_run_reports_first_failing_column():
 def pair_from_word(u: float, n: int) -> tuple[int, int]:
     """Scalar word decoder: pair number min(c - 1, floor(u * c)) of c = n(n-1)/2."""
     c = n * (n - 1) // 2
-    return _pair_at(n, min(c - 1, int(u * c)))
+    return pair_at(n, min(c - 1, int(u * c)))
 
 
 def iter_blocks_backward(master, replica, lo, hi):
@@ -396,22 +394,22 @@ def iter_blocks_backward(master, replica, lo, hi):
             yield b, rows[b - bottom]
 
 
-def _reference_walk(tm, master, replica, lo, hi, p2, cutoff):
+def _reference_walk(mat, master, replica, lo, hi, p2, cutoff):
     """The per-step walk of one replica of ``cftp._walk_windows``.
 
-    tm holds the replica's columns and is stepped in place, one block at a
+    mat holds the replica's columns and is stepped in place, one block at a
     time.  The driver is a separate vector stepped by its own
     ``_apply_step``, each block is decoded with ``pair_from_word`` and
     ``float``, and the whole closing phase is read at once.  cutoff is the
     replica's entry of cutoffs (None for the tracked run).  Returns the
     schedule's analysis, the driver and the failure note.
     """
-    n = tm.n
+    n = mat.shape[0]
     center = np.array(SimplexPoint.center(n).values)
     for _b, row in iter_blocks_backward(master, replica, lo + p2, hi):
         i, j = pair_from_word(float(row[0]), n)
         lam = float(row[1])
-        tm.shared_step(i, j, lam)
+        _apply_step(mat, i - 1, j - 1, lam)
         _apply_step(center, i - 1, j - 1, lam)
 
     rows = read_blocks(master, replica, lo, lo + p2)[::-1]
@@ -422,11 +420,11 @@ def _reference_walk(tm, master, replica, lo, hi, p2, cutoff):
         u = float(row[1])
         rec = analysis.splits.get(s) if analysis.connected and s <= last else None
         if rec is None:
-            tm.shared_step(i, j, u)
+            _apply_step(mat, i - 1, j - 1, u)
             _apply_step(center, i - 1, j - 1, u)
             continue
         aux = cache(partial(aux_uniform, master, replica, lo + p2 - s))
-        cols, y_next, cpls = _subset_couple_columns(tm.mat, center, rec, u, float(row[2]), aux)
+        cols, y_next, cpls = _subset_couple_columns(mat, center, rec, u, float(row[2]), aux)
         if cutoff is None:
             v = next((v for v, c in enumerate(cpls) if not c.success), None)
             if v is not None:
@@ -438,7 +436,7 @@ def _reference_walk(tm, master, replica, lo, hi, p2, cutoff):
                     hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
                     reason=c.reason,
                 )
-        tm.mat = cols
+        mat[:] = cols
         center = y_next
     return analysis, center, None
 
@@ -453,13 +451,13 @@ def _note_bits(note):
 def _walk_agrees(got, cols, master, replica, lo, hi, p2, cutoff):
     """Check one replica's walk output against the reference walk from cols."""
     analysis, got_cols, driver, note = got
-    want_tm = TransitionMatrix(np.array(cols, dtype=float))
-    want = _reference_walk(want_tm, master, replica, lo, hi, p2, cutoff)
+    want_mat = np.array(cols, dtype=float)
+    want = _reference_walk(want_mat, master, replica, lo, hi, p2, cutoff)
     assert analysis == want[0]
     assert driver.tobytes() == want[1].tobytes()
     assert _note_bits(note) == _note_bits(want[2])
-    assert got_cols.shape == want_tm.mat.shape
-    assert got_cols.tobytes() == want_tm.mat.tobytes()
+    assert got_cols.shape == want_mat.shape
+    assert got_cols.tobytes() == want_mat.tobytes()
     return note
 
 
@@ -769,17 +767,17 @@ def test_attemptless_map_equals_matrix_composition():
     # force the replay to treat every closing-phase step as shared: the map
     # is then the plain matrix composition of the window's draw sequence
     noatt = dataclasses.replace(rec, cutoff=1)
-    tm = TransitionMatrix.identity(5)
+    mat = np.eye(5)
     ii, jj = np.triu_indices(5, 1)
     c = len(ii)
     for _b, row in iter_blocks_backward(rec.master, rec.replica, rec.lo, rec.hi):
         k = min(c - 1, int(float(row[0]) * c))
-        tm.shared_step(int(ii[k]) + 1, int(jj[k]) + 1, float(row[1]))
+        _apply_step(mat, int(ii[k]), int(jj[k]), float(row[1]))
     rng = np.random.default_rng(1)
     for _ in range(5):
         z0 = SimplexPoint(rng.dirichlet(np.ones(5)))
         out = propagate_through_epoch(z0, noatt)
-        assert float(np.max(np.abs(out.values - tm.mat @ z0.values))) < 1e-12
+        assert float(np.max(np.abs(out.values - mat @ z0.values))) < 1e-12
 
 
 def test_epoch_record_round_trips_to_json():

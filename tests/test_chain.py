@@ -18,7 +18,6 @@ from simplex_gibbs import chain
 from simplex_gibbs.chain import (
     LambdaLaw,
     SimplexPoint,
-    StepDraw,
     contraction_factor,
     exact_split,
     sample_step_draw,
@@ -28,7 +27,16 @@ from simplex_gibbs.partitions import EdgeSchedule
 from simplex_gibbs.streams import _pairs_from_words
 from simplex_gibbs.two_stage import proportional_run
 
-from conftest import ALPHA, coordinate_cdf, step, uniform_simplex_oracle, weight
+from conftest import (
+    ALPHA,
+    StepDraw,
+    coordinate_cdf,
+    draw_step,
+    pair_at,
+    step,
+    uniform_simplex_oracle,
+    weight,
+)
 
 
 # ---------------------------------------------------------------- exact_split
@@ -164,7 +172,7 @@ def test_step_frozen_dyadic_examples():
 def test_step_conserves_pair_sum(lam, seed):
     r = np.random.default_rng(seed)
     x = sample_uniform_simplex(6, r)
-    d = sample_step_draw(6, r)
+    d = draw_step(6, r)
     d = StepDraw(d.i, d.j, lam)
     y = step(x, d)
     s = float(x.values[d.i - 1]) + float(x.values[d.j - 1])
@@ -200,13 +208,13 @@ def fallbacks(monkeypatch):
 
 
 def _assert_bulk_equals_scalar(n, make_rng, size, law=None, hold_half=False):
-    """K bulk draws equal K scalar calls, and so do the draws that follow."""
+    """K bulk draws equal K ``draw_step`` calls, and so do the draws that follow."""
     a, b = make_rng(), make_rng()
     if hold_half:  # a scalar integer draw leaves the high half of its word buffered
         a.integers(0, 3)
         b.integers(0, 3)
     i, j, lam = sample_step_draw(n, a, law, size=size)
-    want = [sample_step_draw(n, b, law) for _ in range(size)]
+    want = [draw_step(n, b, law) for _ in range(size)]
     assert i.dtype == j.dtype == np.int64 and lam.dtype == np.float64
     assert i.tolist() == [d.i for d in want] and j.tolist() == [d.j for d in want]
     assert [v.hex() for v in lam.tolist()] == [d.lam.hex() for d in want]
@@ -300,6 +308,24 @@ def test_negative_draw_count_raises():
         sample_step_draw(16, np.random.default_rng(0), size=-1)
 
 
+def test_draw_size_is_required():
+    with pytest.raises(TypeError):
+        sample_step_draw(16, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("count", [True, 2.5, -1])
+def test_step_counts_are_checked_on_both_entry_points(count):
+    # a bool would draw one step, a float would fail late with a TypeError
+    # naming another number, and a negative count would draw nothing
+    rng = np.random.default_rng(0)
+    entry = rng.bit_generator.state
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        sample_step_draw(16, rng, size=count)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        next(chain._step_draws(16, count, rng))
+    assert rng.bit_generator.state == entry
+
+
 # ---------------------------------------------------------------- LambdaLaw
 
 
@@ -343,9 +369,9 @@ def test_sample_step_draw_uniform_over_pairs():
     n = 5
     counts = {}
     trials = 40000
-    for _ in range(trials):
-        d = sample_step_draw(n, rng)
-        counts[(d.i, d.j)] = counts.get((d.i, d.j), 0) + 1
+    i, j, _lam = sample_step_draw(n, rng, size=trials)
+    for pair in zip(i.tolist(), j.tolist()):
+        counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == n * (n - 1) // 2
     expected = trials / len(counts)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -365,10 +391,10 @@ def _row_walk(n, k):
 def test_pair_at_matches_triu_indices():
     for n in [*range(2, 201), 1024]:
         ii, jj = np.triu_indices(n, 1)
-        got = np.array([chain._pair_at(n, k) for k in range(len(ii))])
+        got = np.array([pair_at(n, k) for k in range(len(ii))])
         np.testing.assert_array_equal(got[:, 0], ii + 1)
         np.testing.assert_array_equal(got[:, 1], jj + 1)
-        # the array decoder gives _pair_at's pair for every pair number
+        # the package's array decoder gives the oracle's pair for every pair number
         i, j = chain._pairs_at(n, np.arange(len(ii)))
         assert i.tolist() == got[:, 0].tolist() and j.tolist() == got[:, 1].tolist()
 
@@ -377,9 +403,9 @@ def test_pair_at_matches_triu_indices():
 def test_pair_at_boundaries_match_row_walk(n):
     c = n * (n - 1) // 2
     for k in (0, n - 2, n - 1, c // 2, c - 1):
-        assert chain._pair_at(n, k) == _row_walk(n, k)
-    assert chain._pair_at(n, n - 2) == (1, n)
-    assert chain._pair_at(n, c - 1) == (n - 1, n)
+        assert pair_at(n, k) == _row_walk(n, k)
+    assert pair_at(n, n - 2) == (1, n)
+    assert pair_at(n, c - 1) == (n - 1, n)
 
 
 # the largest n whose pair numbers the array decoder takes in int64
@@ -396,7 +422,7 @@ def test_pairs_at_matches_pair_at_at_scale(n):
         if r < n - 1:
             ks += [c - 1 - back for back in (r * (r + 1) // 2 + d for d in (-1, 0, 1)) if 0 <= back < c]
     i, j = chain._pairs_at(n, np.array(ks))
-    assert list(zip(i.tolist(), j.tolist())) == [chain._pair_at(n, k) for k in ks]
+    assert list(zip(i.tolist(), j.tolist())) == [pair_at(n, k) for k in ks]
 
 
 def test_pairs_at_refuses_int64_overflow():
@@ -414,7 +440,7 @@ def test_pairs_at_refuses_int64_overflow():
     "draw",
     [
         lambda rng: EdgeSchedule.sample(3000, 100, rng),
-        lambda rng: sample_step_draw(3000, rng),
+        lambda rng: sample_step_draw(3000, rng, size=1),
         lambda rng: sample_step_draw(3000, rng, size=100),
         lambda rng: _pairs_from_words(np.array([0.5]), 3000),
     ],
@@ -458,7 +484,7 @@ def test_stationarity_of_uniform_law_under_stepping():
     out = np.empty(m)
     for t in range(m):
         x = sample_uniform_simplex(n, rng)
-        y = step(x, sample_step_draw(n, rng))
+        y = step(x, draw_step(n, rng))
         out[t] = y.values[1]
     assert st.kstest(out, lambda t: coordinate_cdf(t, n)).pvalue > ALPHA
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as hst
 
 from simplex_gibbs.chain import (
     SimplexPoint,
-    StepDraw,
     _apply_step,
     _match_fsum,
     sample_uniform_simplex,
@@ -33,7 +32,7 @@ from simplex_gibbs.couplings import (
 )
 from simplex_gibbs.partitions import EdgeSchedule, SplitRecord, analyze_schedule
 
-from conftest import ALPHA, step, weight
+from conftest import ALPHA, StepDraw, step, weight
 
 # the (m, delta) grid exercised throughout: slopes both sides of 1 and
 # intercepts of both signs

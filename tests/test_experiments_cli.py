@@ -282,6 +282,14 @@ class TestCftp:
         with pytest.raises(ValueError):
             run_cftp(4, 0, 0)
 
+    def test_refuses_an_empty_budget_before_walking(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("window 1 walked before the budget was checked")
+
+        monkeypatch.setattr(experiments, "_first_epochs", walked)
+        with pytest.raises(ValueError, match="max_doublings"):
+            run_cftp(64, 64, 0, max_doublings=0)
+
 
 class TestDiscrete:
     def test_decay_and_conservation(self, tmp_path):
@@ -388,6 +396,10 @@ class TestCli:
             ["connectivity", "--n", "16", "--epsilon", "1.0", "--trials", "100", "--assert"]
         )
         assert rc == 0
+
+    def test_empty_budget_exits_one(self, capsys):
+        assert main(["cftp", "--n", "3", "--samples", "1", "--max-doublings", "0"]) == 1
+        assert "max_doublings" in capsys.readouterr().err
 
     def test_budget_exhaustion_exits_three(self, capsys):
         rc = main(

@@ -12,8 +12,6 @@ import pytest
 from simplex_gibbs import chain, two_stage
 from simplex_gibbs.chain import (
     SimplexPoint,
-    StepDraw,
-    sample_step_draw,
     sample_uniform_simplex,
     sq_distance,
 )
@@ -30,7 +28,7 @@ from simplex_gibbs.two_stage import (
     two_stage_pass,
 )
 
-from conftest import step, weight
+from conftest import StepDraw, draw_step, step, weight
 
 
 # ------------------------------------------------------------- step counts
@@ -75,7 +73,7 @@ def test_proportional_run_contracts():
 def _proportional_run_reference(x, y, steps, rng, z_out):
     """The burn-in as one validated SimplexPoint pair per step."""
     for _ in range(steps):
-        draw = sample_step_draw(x.n, rng)
+        draw = draw_step(x.n, rng)
         x, y = step(x, draw), step(y, draw)
         z_out.append(sq_distance(x, y))
     return x, y
@@ -102,9 +100,9 @@ def test_proportional_run_draws_once_per_chunk(monkeypatch):
     sizes = []
     bulk = chain.sample_step_draw
 
-    def spy(n, rng, law=None, size=None):
+    def spy(n, rng, law=None, *, size):
         sizes.append(size)
-        return bulk(n, rng, law, size)
+        return bulk(n, rng, law, size=size)
 
     monkeypatch.setattr(chain, "sample_step_draw", spy)
     x0, y0 = SimplexPoint.vertex(16, 1), SimplexPoint.center(16)
