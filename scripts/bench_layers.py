@@ -37,7 +37,9 @@ between two load probes:
     ``EdgeSchedule.sample(16, 45)``, the collision stage's schedule, with
     every split record read, averaged over ``default_rng(0..19)``;
   - ``marked_attempt_kernel``: one marked-time attempt of all n vertex
-    columns against the driver with ``couplings._subset_couple_columns``;
+    columns against the driver with ``couplings._subset_couple_columns``,
+    as the window walk makes it: the state taken as one float list per
+    chain (``.T.tolist()`` with the driver last), then the list kernel;
   - ``marked_attempt_one_column``: the same attempt for the first column
     alone, as the replay and the collision stage make it;
   - ``run_epoch``: one tracked window, averaged over replicas 0..7;
@@ -65,8 +67,11 @@ between two load probes:
     ``sample_step_draw(16, rng, size=267)``;
   - ``load_probe_last``: the load probe again, timed after every other row.
 The script calls only API that every commit since the array schedules
-has.  Run it single-threaded on an otherwise idle machine, one label at a
-time, and compare two labels' rows against their load probes.
+has, except the two marked-attempt rows: they call the kernel on float
+lists, and a tree whose kernel still takes arrays gets them as rows with
+unit "missing" and no timings.  Run it single-threaded on an otherwise
+idle machine, one label at a time, and compare two labels' rows against
+their load probes.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ CHUNK_SAMPLES = 20
 CHUNK_REPLICAS = 25
 # burn_in_steps(16, 4.0): the burn-in of a C = 1 coupled run at n = 16
 BURN_IN = 267
+# the row of a layer that the timed tree cannot run as this script calls it
+MISSING = {"unit": "missing"}
 
 
 def machine_facts() -> dict:
@@ -164,7 +171,7 @@ def stage_input(replica: int):
 
 
 def layers() -> dict:
-    """Name -> (calls per repeat, zero-arg callable running those calls)."""
+    """Name -> (calls per repeat, zero-arg callable running those calls), or None."""
     import numpy as np
 
     cftp = importlib.import_module("simplex_gibbs.cftp")
@@ -207,12 +214,19 @@ def layers() -> dict:
 
     out["schedule_analysis_16"] = (len(stage), lambda: [read_every_record(s) for s in stage])
 
-    def attempt(xs):
-        return couplings._subset_couple_columns(xs, center, rec, u, coin, lambda: 0.5)
+    def attempt(state):  # as the walk makes it: one float list per chain, the driver last
+        chains = state.T.tolist()
+        return couplings._subset_couple_columns(chains[:-1], chains[-1], rec, u, coin, lambda: 0.5)
 
-    first = cols[:, :1].copy()
-    out["marked_attempt_kernel"] = (200, lambda: [attempt(cols) for _ in range(200)])
-    out["marked_attempt_one_column"] = (200, lambda: [attempt(first) for _ in range(200)])
+    every = np.column_stack((cols, center))
+    first = np.column_stack((cols[:, 0], center))
+    try:
+        attempt(first)
+    except AttributeError:  # a kernel that takes arrays: these two rows are missing
+        out["marked_attempt_kernel"] = out["marked_attempt_one_column"] = None
+    else:
+        out["marked_attempt_kernel"] = (200, lambda: [attempt(every) for _ in range(200)])
+        out["marked_attempt_one_column"] = (200, lambda: [attempt(first) for _ in range(200)])
     certified = next(r for r in (cftp.run_epoch(N, MASTER, k, 1) for k in range(40)) if r.coalesced)
     point = chain.SimplexPoint.vertex(N, 1)
     out["run_epoch"] = (len(REPLICAS), lambda: [cftp.run_epoch(N, MASTER, r, 1) for r in REPLICAS])
@@ -323,12 +337,15 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     rows = [{"label": args.label, "layer": "load_probe_first", **time_layer(1, load_probe)}]
     rows += [
-        {"label": args.label, "layer": name, **time_layer(calls, fn)}
-        for name, (calls, fn) in layers().items()
+        {"label": args.label, "layer": name, **(MISSING if layer is None else time_layer(*layer))}
+        for name, layer in layers().items()
     ]
     rows.append({"label": args.label, "layer": "run_cftp_marked_share", **marked_share()})
     rows.append({"label": args.label, "layer": "load_probe_last", **time_layer(1, load_probe)})
     for r in rows:
+        if r["unit"] == "missing":
+            print(f"{r['label']:>8} {r['layer']:<26} missing")
+            continue
         scale, unit = (1e6, "us") if r["unit"] == "s/call" else (1.0, "")
         print(f"{r['label']:>8} {r['layer']:<26} min {r['min'] * scale:10.3f} {unit:2}"
               f"  median {r['median'] * scale:10.3f} {unit}")

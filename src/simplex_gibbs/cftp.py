@@ -23,9 +23,11 @@ matrix, with the driver as the last column, and the group's matrices are
 stacked in one float array: every shared step is one ``chain._apply_step``
 on that array for all chains, and every marked-time attempt one
 ``couplings._subset_couple_columns`` call on a replica's followers against
-its driver.  A tracked run notes why its first failing column failed; a
-replayed chain attempts with its own slope and intercept and resolves its
-own failures from per-block remainder draws.  The map each window applies
+its driver, as float lists stepped in place.  Every attempt's outcome is
+committed.  A tracked run notes why its first failing column failed and
+attempts no more; a replayed chain attempts at every marked time before
+its cutoff, with its own slope and intercept, and resolves its own
+failures from per-block remainder draws.  The map each window applies
 is thus one fixed function of the stream, no matter when or beside which
 replicas it is walked.  Window 1 has the same geometry for every replica,
 so ``experiments.run_cftp`` walks it for groups of samples
@@ -46,7 +48,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .chain import SimplexPoint, _apply_step
+from .chain import SimplexPoint, _apply_step, _step_count
 from .couplings import _subset_couple_columns
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 from .streams import _draws_backward_batch, aux_uniform
@@ -130,7 +132,7 @@ class EpochRecord:
     replay the window.  cutoff is the closing-phase time of the first
     tracked failure (None when every attempt succeeded); replays through
     this window attempt couplings only at marked times strictly before it,
-    matching what the tracked chains committed.  final is the collided
+    where every tracked column succeeded.  final is the collided
     point when the window certified.
     """
 
@@ -231,12 +233,14 @@ def _walk_windows(
     column in one ``_subset_couple_columns`` call; a failed relation draws
     its remainder from the block (``aux_uniform``, read at most once).
 
-    cutoffs=None is the tracked run: a replica stops at its first attempt
-    with a failed column, noting the first such column, and keeps its state
-    from before that attempt, since nothing after it is read; once no
-    replica is live, the walk ends.  A sequence of recorded cutoffs, one
-    per replica, is the replay: every outcome is committed and the walk
-    runs to the end.  With hi = lo + p2 the opening phase is empty.
+    Every attempt's outcome is committed: the kernel steps the replica's
+    chains, taken as float lists, in place, and rows i and j are written
+    back.  cutoffs=None is the tracked run: at a replica's first attempt
+    with a failed column it notes the first such column and attempts no
+    more, taking the shared steps to the end of the window, so a failed
+    window ends where its replay with cutoff note.time + 1 ends.  A
+    sequence of recorded cutoffs, one per replica, is the replay.  With
+    hi = lo + p2 the opening phase is empty.
 
     Returns, per replica: the schedule's analysis, its C columns, its
     driver and its failure note.
@@ -267,35 +271,27 @@ def _walk_windows(
         for s in analysis.marked if analysis.connected else ():
             if cutoffs is None or s < cutoffs[r]:
                 attempts.setdefault(s, []).append(r)
-    live = np.ones(reps, dtype=bool)
-    stopped = 0
     notes: list[FailureNote | None] = [None] * reps
     for s, (i0, j0, lam) in enumerate(every_replica(ii, jj, us), start=1):
         t = s - 1
-        if s not in attempts and not stopped:
+        tries = [r for r in attempts.get(s, ()) if notes[r] is None]
+        if not tries:
             _apply_step(walk, i0, j0, lam)
             continue
-        tries = [r for r in attempts.get(s, ()) if live[r]]
-        if len(tries) < reps - stopped:  # some live replica takes the shared step
-            step = live.copy()
-            step[tries] = False
-            step = np.flatnonzero(step)
+        if len(tries) < reps:  # the other replicas take the shared step
+            step = np.delete(np.arange(reps), tries)
             _apply_step(walk, ii[step, t] + base[step], jj[step, t] + base[step], us[step, t][:, None])
         for r in tries:
             aux = cache(partial(aux_uniform, master, replicas[r], lo + p2 - s))
-            xs, y, cpls = _subset_couple_columns(
-                mat[r, :, :cols], mat[r, :, cols], analyses[r].splits[s],
-                float(us[r, t]), float(coins[r, t]), aux,
+            rec = analyses[r].splits[s]
+            chains = mat[r].T.tolist()
+            cpls = _subset_couple_columns(
+                chains[:cols], chains[cols], rec, float(us[r, t]), float(coins[r, t]), aux
             )
-            notes[r] = None if cutoffs is not None else _failure_note(s, cpls)
-            if notes[r] is None:
-                mat[r, :, :cols] = xs
-                mat[r, :, cols] = y
-            else:
-                live[r] = False
-                stopped += 1
-        if stopped == reps:
-            break
+            for row in (rec.i - 1, rec.j - 1):
+                mat[r, row] = [x[row] for x in chains]
+            if cutoffs is None:
+                notes[r] = _failure_note(s, cpls)
     return [(analyses[r], mat[r, :, :cols].copy(), mat[r, :, cols].copy(), notes[r])
             for r in range(reps)]
 
@@ -417,7 +413,7 @@ def cftp_sample(
     ``run_cftp`` walks it for many samples at once); it stands in for that
     call.  A record of another window or stream raises ValueError.
     """
-    if max_doublings < 1:
+    if _step_count(max_doublings, "max_doublings") < 1:
         raise ValueError("max_doublings must be >= 1")
     if first is not None and (first.n, first.master, first.replica, first.k) != (n, master, replica, 1):
         raise ValueError(

@@ -26,8 +26,10 @@ It is the only place where the relation is accepted or refused, and it
 says why it was refused.
 
 ``_subset_couple_columns`` is the one weight-matching attempt of the
-package.  It couples any number of follower chains, held as the columns of
-an array, against one driver, and applies each column's coupled fraction.
+package.  It couples any number of follower chains, each a float list,
+against one driver list and steps every list in place, each follower with
+its coupled fraction, so every outcome it returns is committed; its callers
+differ only in when they stop attempting.
 On success it adjusts the two updated coordinates so that the fsum weights
 of the two pieces agree with the driver bit for bit.  A piece that is a
 singleton {l} therefore leaves x_l bitwise equal to y_l, which is what
@@ -44,8 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
-
-import numpy as np
 
 from .chain import _apply_step, _match_fsum
 from .partitions import SplitRecord
@@ -180,25 +180,25 @@ ENFORCE_TOL = 1e-12
 
 
 def _subset_couple_columns(
-    xs: np.ndarray,
-    y: np.ndarray,
+    cols: list[list[float]],
+    yv: list[float],
     rec: SplitRecord,
     u: float,
     coin: float,
     aux: Callable[[], float],
-) -> tuple[np.ndarray, np.ndarray, list[PairCoupling]]:
-    """Weight-matching attempt of every column of xs against the driver y.
+) -> list[PairCoupling]:
+    """Weight-matching attempt of every follower chain against the driver yv.
 
-    xs holds C follower chains as the columns of an (n, C) array.  rec is
-    the marked time's split: pair (i, j) steps, with i in piece_i and j in
-    piece_j.  All columns share the driver fraction u and the thinning
-    coin.  Each column's slope m and intercept delta (an fsum over piece_i
-    without i, divided by x_i + x_j) go to ``couple_lambdas``, which calls
-    aux once per failed relation; a zero pair sum leaves no usable
-    relation (m = inf or 0, delta = nan).  The columns run one at a time on
-    Python floats; only rows i and j of the result are written back.
+    cols holds C follower chains as float lists, and all C + 1 lists are
+    stepped in place with ``chain._apply_step``.  rec is the marked time's
+    split: pair (i, j) steps, with i in piece_i and j in piece_j.  All
+    followers share the driver fraction u and the thinning coin.  Each
+    follower's slope m and intercept delta (an fsum over piece_i without i,
+    divided by x_i + x_j) go to ``couple_lambdas``, which calls aux once per
+    failed relation; a zero pair sum leaves no usable relation (m = inf or
+    0, delta = nan).  Only entries i and j of any list change.
 
-    Each column commits its own outcome, coded in its PairCoupling:
+    Each follower commits its own outcome, coded in its PairCoupling:
       - OK: the split at m * u + delta, with x_i and x_j then moved so that
         the fsum weights of both pieces equal the driver's bit for bit;
       - NUDGE_REFUSED: the relation held, but a move within ENFORCE_TOL
@@ -207,20 +207,16 @@ def _subset_couple_columns(
       - OUT_OF_RANGE, THINNED or DEGENERATE: the split at the remainder
         fraction.
 
-    Returns:
-        (xs_next, y_next, couplings): the stepped columns, the driver
-        stepped with u, and one PairCoupling per column.
+    Returns one PairCoupling per follower, in the order of cols.
     """
     i0, j0 = rec.i - 1, rec.j - 1
     held_i = [l - 1 for l in rec.piece_i if l != rec.i]
     held_j = [l - 1 for l in rec.piece_j if l != rec.j]
-    yv = y.tolist()
     s_y = yv[i0] + yv[j0]
     y_held = [yv[l] for l in held_i]
     _apply_step(yv, i0, j0, u)
     target_i = math.fsum([yv[l - 1] for l in rec.piece_i])
     target_j = math.fsum([yv[l - 1] for l in rec.piece_j])
-    cols = xs.T.tolist()
     cpls = []
     for col in cols:
         x_held = [col[l] for l in held_i]
@@ -240,7 +236,4 @@ def _subset_couple_columns(
             else:
                 col[i0], col[j0] = vi, vj
         cpls.append(cpl)
-    out = np.array(xs, dtype=np.float64)
-    out[i0] = [col[i0] for col in cols]
-    out[j0] = [col[j0] for col in cols]
-    return out, np.array(yv), cpls
+    return cpls

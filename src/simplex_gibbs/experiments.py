@@ -31,6 +31,7 @@ from .chain import (
     _apply_step,
     _pairs_at,
     _sq_distance_raw,
+    _step_count,
     _step_draws,
     contraction_factor,
     pair_count,
@@ -211,7 +212,7 @@ def _write_jsonl(path, records) -> None:
 def _law_params(law: LambdaLaw | None) -> str:
     if law is None or law.kind == "uniform":
         return "uniform"
-    return f"beta:{law.a:g}"
+    return f"beta:{float(law.a)!r}"
 
 
 def _coord_cdf(n: int):
@@ -490,8 +491,7 @@ def run_connectivity(
         raise ValueError("need epsilon > 0")
     if T is None:
         T = int(math.ceil((0.5 + epsilon) * n * math.log(n)))
-    if T < 0:
-        raise ValueError("need T >= 0")
+    T = _step_count(T, "T")
     run = SummaryReport(
         "connectivity",
         {"n": n, "epsilon": epsilon, "trials": trials, "seed": seed, "T": T},
@@ -623,7 +623,7 @@ def run_cftp(
     """
     if n < 2 or samples < 1:
         raise ValueError("need n >= 2, samples >= 1")
-    if max_doublings < 1:
+    if _step_count(max_doublings, "max_doublings") < 1:
         raise ValueError("max_doublings must be >= 1")
     run = SummaryReport(
         "cftp",

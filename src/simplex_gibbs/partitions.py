@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _pairs_at, pair_count
+from .chain import _pairs_at, _step_count, pair_count
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -97,8 +97,7 @@ class EdgeSchedule:
     @classmethod
     def sample(cls, n: int, T: int, rng: np.random.Generator) -> "EdgeSchedule":
         """Draw T independent uniform unordered pairs."""
-        if T < 0:
-            raise ValueError("T must be nonnegative")
+        T = _step_count(T, "T")
         edges = np.empty((T, 2), dtype=np.int64)
         edges[:, 0], edges[:, 1] = _pairs_at(n, rng.integers(0, pair_count(n), size=T))
         return cls(n, edges)

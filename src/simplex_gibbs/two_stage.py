@@ -30,8 +30,8 @@ and equal one generator call per pair and per fraction bit for bit,
 leaving the generator where those calls would, so the stage that follows
 reads the same stream.
 ``two_stage_pass`` draws one fraction per unmarked time and hands the two
-lists to ``couplings._subset_couple_columns`` as a one-column array at a
-marked time.  Piece weights are ``math.fsum`` sums, exact and independent
+lists to ``couplings._subset_couple_columns`` at a marked time, x as the
+one follower and y as the driver, which it steps in place.  Piece weights are ``math.fsum`` sums, exact and independent
 of order, so the lists give the bits that validated points would.
 """
 
@@ -175,10 +175,7 @@ def two_stage_pass(
             pre_min = min(min(xs), min(ys))
             u = float(rng.random())
             coin = float(rng.random())
-            cols, y_next, (cpl,) = _subset_couple_columns(
-                np.array(xs)[:, None], np.array(ys), rec, u, coin, rng.random
-            )
-            xs, ys = cols[:, 0].tolist(), y_next.tolist()
+            (cpl,) = _subset_couple_columns([xs], ys, rec, u, coin, rng.random)
             small = rec.piece_small
             diff = math.fsum([xs[l - 1] for l in small]) - math.fsum([ys[l - 1] for l in small])
             audits.append(

@@ -401,8 +401,9 @@ def _reference_walk(mat, master, replica, lo, hi, p2, cutoff):
     time.  The driver is a separate vector stepped by its own
     ``_apply_step``, each block is decoded with ``pair_from_word`` and
     ``float``, and the whole closing phase is read at once.  cutoff is the
-    replica's entry of cutoffs (None for the tracked run).  Returns the
-    schedule's analysis, the driver and the failure note.
+    replica's entry of cutoffs (None for the tracked run).  Every attempt is
+    committed; the tracked run notes its first failed column and attempts no
+    more.  Returns the schedule's analysis, the driver and the failure note.
     """
     n = mat.shape[0]
     center = np.array(SimplexPoint.center(n).values)
@@ -416,29 +417,30 @@ def _reference_walk(mat, master, replica, lo, hi, p2, cutoff):
     pairs = [pair_from_word(float(row[0]), n) for row in rows]
     analysis = analyze_schedule(EdgeSchedule(n, tuple(pairs)))
     last = p2 if cutoff is None else cutoff - 1
+    note = None
     for s, ((i, j), row) in enumerate(zip(pairs, rows), start=1):
         u = float(row[1])
-        rec = analysis.splits.get(s) if analysis.connected and s <= last else None
+        rec = analysis.splits.get(s) if analysis.connected and s <= last and note is None else None
         if rec is None:
             _apply_step(mat, i - 1, j - 1, u)
             _apply_step(center, i - 1, j - 1, u)
             continue
         aux = cache(partial(aux_uniform, master, replica, lo + p2 - s))
-        cols, y_next, cpls = _subset_couple_columns(mat, center, rec, u, float(row[2]), aux)
-        if cutoff is None:
-            v = next((v for v, c in enumerate(cpls) if not c.success), None)
-            if v is not None:
-                c = cpls[v]
-                fin = math.isfinite(c.m) and math.isfinite(c.delta)
-                return analysis, center, FailureNote(
-                    time=s, column=v + 1, m=c.m, delta=c.delta,
-                    lo=max(0.0, min(1.0, c.delta)) if fin else 0.0,
-                    hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
-                    reason=c.reason,
-                )
-        mat[:] = cols
-        center = y_next
-    return analysis, center, None
+        cols, driver = mat.T.tolist(), center.tolist()
+        cpls = _subset_couple_columns(cols, driver, rec, u, float(row[2]), aux)
+        mat[:] = np.array(cols).T
+        center = np.array(driver)
+        v = next((v for v, c in enumerate(cpls) if not c.success), None)
+        if cutoff is None and v is not None:
+            c = cpls[v]
+            fin = math.isfinite(c.m) and math.isfinite(c.delta)
+            note = FailureNote(
+                time=s, column=v + 1, m=c.m, delta=c.delta,
+                lo=max(0.0, min(1.0, c.delta)) if fin else 0.0,
+                hi=max(0.0, min(1.0, c.m + c.delta)) if fin else 0.0,
+                reason=c.reason,
+            )
+    return analysis, center, note
 
 
 def _note_bits(note):
@@ -658,6 +660,28 @@ def test_batched_walk_matches_forced_failures():
     assert [(f.time, f.column, f.reason) for f in notes] == [(3, 1, "nudge_refused"), (3, 1, "out_of_range")]
     notes = _batch_agrees([np.array([center, refused, oor]).T], 5, [1])
     assert (notes[0].column, notes[0].reason) == (2, "nudge_refused")
+
+
+def test_failed_tracked_walk_equals_replay_past_its_cutoff():
+    # a tracked window commits its failed attempt and then takes only shared
+    # steps, so it ends bit for bit where the replay of the same start ends
+    # when that replay attempts up to and including the failing time
+    failed = 0
+    for n in (4, 8, 16):
+        starts = np.broadcast_to(np.eye(n), (40, n, n))
+        for k in (1, 2):
+            lo, hi, _p1, p2 = window_geometry(n, k)
+            for replica, (analysis, cols, driver, note) in enumerate(
+                _walk_windows(starts, 5, range(40), lo, hi, p2)
+            ):
+                if note is None:
+                    continue
+                failed += 1
+                (again,) = _walk_windows(starts[:1], 5, (replica,), lo, hi, p2, (note.time + 1,))
+                assert again[0] == analysis and again[3] is None
+                assert again[1].tobytes() == cols.tobytes()
+                assert again[2].tobytes() == driver.tobytes()
+    assert failed == 25  # the failed windows of this grid
 
 
 def test_thinned_attempt_flips_with_its_coin(monkeypatch):

@@ -255,9 +255,10 @@ def _split(i, j, piece_i, piece_j):
 
 
 def _attempt(x, y, rec, u, coin, aux):
-    """One-column kernel attempt on validated points."""
-    cols, y_next, (cpl,) = _subset_couple_columns(x.values[:, None], y.values, rec, u, coin, aux)
-    return SimplexPoint(cols[:, 0]), SimplexPoint(y_next), cpl
+    """One-follower kernel attempt on validated points."""
+    xs, ys = x.values.tolist(), y.values.tolist()
+    (cpl,) = _subset_couple_columns([xs], ys, rec, u, coin, aux)
+    return SimplexPoint(xs), SimplexPoint(ys), cpl
 
 
 def _engineered_pair():
@@ -430,7 +431,8 @@ def _check_against_oracle(xs, y, rec, u, coin) -> list[str]:
     exactly when its relation failed.
     """
     aux = _CountingAux()
-    out, y_next, cpls = _subset_couple_columns(xs, y, rec, u, coin, aux)
+    out, y_next = xs.T.tolist(), y.tolist()  # copies, stepped in place
+    cpls = _subset_couple_columns(out, y_next, rec, u, coin, aux)
     assert len(cpls) == xs.shape[1]
     seen = []
     ypt = SimplexPoint(y)
@@ -450,13 +452,12 @@ def _check_against_oracle(xs, y, rec, u, coin) -> list[str]:
         assert got.lam_x.hex() == cpl.lam_x.hex() and got.lam_y == u
         assert np.array_equal(y_next, y2.values)
         # every column commits its outcome, failed columns included
-        assert np.array_equal(out[:, v], x2.values)
+        assert np.array_equal(out[v], x2.values)
         # alone, given the same remainder uniform, a column commits the same
-        one, _, (alone,) = _subset_couple_columns(
-            xs[:, v : v + 1], y, rec, u, coin, _CountingAux(before)
-        )
+        one = xs[:, v].tolist()
+        (alone,) = _subset_couple_columns([one], y.tolist(), rec, u, coin, _CountingAux(before))
         assert alone.code == got.code
-        assert np.array_equal(one[:, 0], out[:, v])
+        assert np.array_equal(one, out[v])
     assert aux.calls == oracle_aux.calls
     return seen
 
@@ -502,7 +503,7 @@ def test_kernel_reports_refused_nudge_before_later_relation_failure():
     zero[i0] = zero[j0] = 0.0
     xs = np.array([refused, zero, y]).T
     aux = _CountingAux()
-    _, _, cpls = _subset_couple_columns(xs, y, rec, 0.5, 0.01, aux)
+    cpls = _subset_couple_columns(xs.T.tolist(), y.tolist(), rec, 0.5, 0.01, aux)
     assert [c.code for c in cpls] == [NUDGE_REFUSED, DEGENERATE, OK]
     assert aux.calls == 1  # only the failed relation draws a remainder
     seen = _check_against_oracle(xs, y, rec, 0.5, 0.01)

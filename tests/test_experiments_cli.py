@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from simplex_gibbs import experiments
-from simplex_gibbs.cftp import run_epoch
+from simplex_gibbs import cli, experiments
+from simplex_gibbs.cftp import cftp_sample, run_epoch
+from simplex_gibbs.chain import LambdaLaw
 from simplex_gibbs.cli import main
 from simplex_gibbs.experiments import (
     SummaryReport,
@@ -25,6 +26,7 @@ from simplex_gibbs.experiments import (
     run_simulate,
     wilson_lower,
 )
+from simplex_gibbs.partitions import EdgeSchedule
 from simplex_gibbs.two_stage import burn_in_steps, stage_steps
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -121,6 +123,12 @@ class TestSimulate:
     def test_no_checks(self):
         rep = run_simulate(3, 5, 10, 0)
         assert rep.checks == [] and rep.passed_all()
+
+    @pytest.mark.parametrize("a", [0.123456789, 1e-7])
+    def test_beta_law_echo_parses_back(self, a):
+        # a report says what ran: its law echo reads back to the same shape
+        rep = run_simulate(3, 1, 1, 0, law=LambdaLaw.beta(a))
+        assert cli._law(rep.parameters["law"]).a == a
 
 
 class TestLowerBound:
@@ -289,6 +297,23 @@ class TestCftp:
         monkeypatch.setattr(experiments, "_first_epochs", walked)
         with pytest.raises(ValueError, match="max_doublings"):
             run_cftp(64, 64, 0, max_doublings=0)
+
+
+COUNT_ENTRY_POINTS = {
+    "schedule_length": (lambda v: EdgeSchedule.sample(4, v, np.random.default_rng(0)), -1),
+    "connectivity_T": (lambda v: run_connectivity(4, 1.0, 1, 0, T=v), -1),
+    "sampler_budget": (lambda v: cftp_sample(3, 0, 0, max_doublings=v), 0),
+    "driver_budget": (lambda v: run_cftp(3, 1, 0, max_doublings=v), 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_are_checked_on_every_entry_point(entry):
+    # a bool would count as one, a float would fail late with a TypeError
+    call, out_of_range = COUNT_ENTRY_POINTS[entry]
+    for value in (True, 2.5, out_of_range):
+        with pytest.raises(ValueError):
+            call(value)
 
 
 class TestDiscrete:

@@ -156,10 +156,9 @@ def _two_stage_pass_reference(x, y, schedule, rng, z_out=None):
             pre_min = float(min(np.min(x.values), np.min(y.values)))
             u = float(rng.random())
             coin = float(rng.random())
-            cols, y_next, (cpl,) = _subset_couple_columns(
-                x.values[:, None], y.values, rec, u, coin, rng.random
-            )
-            x, y = SimplexPoint(cols[:, 0]), SimplexPoint(y_next)
+            xs, ys = x.values.tolist(), y.values.tolist()
+            (cpl,) = _subset_couple_columns([xs], ys, rec, u, coin, rng.random)
+            x, y = SimplexPoint(xs), SimplexPoint(ys)
             diff = weight(rec.piece_small, x) - weight(rec.piece_small, y)
             audits.append(
                 MarkedAudit(
