@@ -42,6 +42,9 @@ between two load probes:
     chain (``.T.tolist()`` with the driver last), then the list kernel;
   - ``marked_attempt_one_column``: the same attempt for the first column
     alone, as the replay and the collision stage make it;
+  - ``match_fsum``: one exact piece-weight match, ``chain._match_fsum``,
+    over the calls that ``run_cftp(16, 20, 10**6)`` makes through the
+    kernel, captured once by wrapping ``couplings._match_fsum``;
   - ``run_epoch``: one tracked window, averaged over replicas 0..7;
   - ``propagate_through_epoch``: one replay of a point through a window;
   - ``cftp_sample``: one exact sample, averaged over replicas 0..7;
@@ -227,6 +230,10 @@ def layers() -> dict:
     else:
         out["marked_attempt_kernel"] = (200, lambda: [attempt(every) for _ in range(200)])
         out["marked_attempt_one_column"] = (200, lambda: [attempt(first) for _ in range(200)])
+    matches = match_calls()
+    out["match_fsum"] = (len(matches), lambda: [
+        chain._match_fsum(t, others, c, max_move=m) for t, others, c, m in matches
+    ])
     certified = next(r for r in (cftp.run_epoch(N, MASTER, k, 1) for k in range(40)) if r.coalesced)
     point = chain.SimplexPoint.vertex(N, 1)
     out["run_epoch"] = (len(REPLICAS), lambda: [cftp.run_epoch(N, MASTER, r, 1) for r in REPLICAS])
@@ -269,6 +276,26 @@ def load_probe() -> int:
     for k in range(200_000):
         total += k * k % 7
     return total
+
+
+def match_calls() -> list[tuple]:
+    """(target, others, candidate, max_move) of each ``_match_fsum`` call
+    that the kernel makes in ``run_cftp(16, 20, 10**6)``."""
+    couplings = importlib.import_module("simplex_gibbs.couplings")
+    experiments = importlib.import_module("simplex_gibbs.experiments")
+    match = couplings._match_fsum
+    calls = []
+
+    def logged(target, others, candidate, max_move=None):
+        calls.append((target, list(others), candidate, max_move))
+        return match(target, others, candidate, max_move=max_move)
+
+    couplings._match_fsum = logged
+    try:
+        experiments.run_cftp(N, CHUNK_SAMPLES, CHUNK_SEEDS[0])
+    finally:
+        couplings._match_fsum = match
+    return calls
 
 
 def run_cftp_chunks() -> None:

@@ -75,23 +75,23 @@ def _match_fsum(
 ) -> float | None:
     """Find v >= 0 with math.fsum([v, *others]) == target, near candidate.
 
-    The candidate is tried first, so a state that already matches is
-    returned bitwise unchanged.  Otherwise the target is bracketed and the
-    bracket bisected in double space; fsum is exactly rounded and monotone
-    in v, so whenever the others are nonnegative and some nonnegative v
-    hits the target, this finds one.  Such a v need not exist: a step of v
-    can move the rounded sum by two of its ulps.  When v's ulp equals the
-    sum's and the others' exact sum lies half an ulp off that grid, every
-    v + others is a tie that rounds half to even, so the sum takes only
-    even last bits and an odd target is skipped.  Returns None when no
-    solution is found, when the equation would require a negative v, or
-    (with max_move set) when the solution lies farther than max_move from
-    the candidate; callers use that as a refusal to let a rounding cleanup
-    turn into a real correction.
+    Three fixed tries, at most four fsum calls.  The candidate (clamped at
+    zero) comes first, so a state that already matches is returned bitwise
+    unchanged.  Next comes one Newton step from it, v0 + (target - f0),
+    which settles nearly every other call.  Last comes
+    d = fsum([target, -others...]), clamped at zero.  fsum is correctly
+    rounded and monotone in v, so the solutions form one run of doubles
+    around the exact centre target - sum(others).  When the others are
+    nonnegative, d is the double nearest that centre and lies in the run
+    whenever the run is not empty.  The run is empty when a step of v moves
+    the rounded sum by two of its ulps: when v's ulp equals the sum's and
+    the others' exact sum lies half an ulp off that grid, every v + others
+    is a tie that rounds half to even, so the sum takes only even last bits
+    and an odd target is skipped.  Returns None when no solution exists,
+    when it would be negative, or (with max_move set) when it lies farther
+    than max_move from the candidate; callers use that as a refusal to let
+    a rounding cleanup turn into a real correction.
     """
-
-    def total(v: float) -> float:
-        return math.fsum([v, *others])
 
     def admit(v: float) -> float | None:
         if v < 0.0:
@@ -101,58 +101,14 @@ def _match_fsum(
         return v
 
     v0 = candidate if candidate >= 0.0 else 0.0
-    f0 = total(v0)
+    f0 = math.fsum([v0, *others])
     if f0 == target:
         return admit(v0)
-
-    # bracket: find lo <= hi with total(lo) < target < total(hi)
-    if f0 < target:
-        lo, hi = v0, v0 + (target - f0)
-        for _ in range(64):
-            if hi <= lo:
-                hi = math.nextafter(lo, math.inf)
-            fhi = total(hi)
-            if fhi == target:
-                return admit(hi)
-            if fhi > target:
-                break
-            lo, hi = hi, hi + 2.0 * (target - fhi)
-        else:
-            return None
-    else:
-        hi, lo = v0, v0 - (f0 - target)
-        for _ in range(64):
-            if lo >= hi:
-                lo = math.nextafter(hi, -math.inf)
-            if lo < 0.0:
-                lo = 0.0
-            flo = total(lo)
-            if flo == target:
-                return admit(lo)
-            if flo < target:
-                break
-            if lo == 0.0:
-                return None  # even v = 0 overshoots; no nonnegative solution
-            hi, lo = lo, lo - 2.0 * (flo - target)
-        else:
-            return None
-
-    # bisect doubles inside the bracket
-    for _ in range(128):
-        mid = lo + 0.5 * (hi - lo)
-        if mid <= lo or mid >= hi:
-            nb = math.nextafter(lo, hi)
-            if nb != hi and total(nb) == target:
-                return admit(nb)
-            return None
-        fm = total(mid)
-        if fm == target:
-            return admit(mid)
-        if fm < target:
-            lo = mid
-        else:
-            hi = mid
-    return None
+    v = admit(v0 + (target - f0))
+    if v is not None and math.fsum([v, *others]) == target:
+        return v
+    d = max(0.0, math.fsum([target, *(-o for o in others)]))
+    return admit(d) if math.fsum([d, *others]) == target else None
 
 
 def _normalized_exact(values: np.ndarray) -> np.ndarray:
@@ -478,8 +434,8 @@ def _apply_step(arr: np.ndarray | list[float], i0: int | np.ndarray, j0: int | n
 def sample_uniform_simplex(n: int, rng: np.random.Generator) -> SimplexPoint:
     """Exact draw from the uniform law on the simplex.
 
-    Normalized independent standard exponentials, nudged by at most one ulp
-    on the largest coordinate so that fsum(values) == 1.0 exactly.
+    Normalized independent standard exponentials; the largest coordinate is
+    then matched so that fsum(values) == 1.0 exactly (see ``_match_fsum``).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

@@ -100,29 +100,20 @@ class SummaryReport:
     optional detail mapping.  checks: dicts with keys name, passed,
     observed, threshold, comparison.  A driver builds the report from its
     command, parameters and seed, which starts its clock, adds records
-    with ``stat`` and ``check``, and returns ``finish()``, which stamps
-    elapsed_seconds.  Deterministic given the driver arguments except for
-    elapsed_seconds.
+    with ``stat`` and ``check``, sets total_steps, and returns
+    ``finish()``, which stamps elapsed_seconds; none of those four fields
+    is a constructor argument.  Deterministic given the driver arguments
+    except for elapsed_seconds.
     """
 
     command: str
     parameters: dict
     seed: int
-    statistics: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    total_steps: int = 0
+    statistics: list = field(default_factory=list, init=False)
+    checks: list = field(default_factory=list, init=False)
+    elapsed_seconds: float = field(default=0.0, init=False)
+    total_steps: int = field(default=0, init=False)
     _t0: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for s in self.statistics:
-            missing = {"name", "value", "sample_size", "seed"} - set(s)
-            if missing:
-                raise ValueError(f"statistic missing {sorted(missing)}: {s}")
-        for c in self.checks:
-            missing = {"name", "passed", "observed", "threshold", "comparison"} - set(c)
-            if missing:
-                raise ValueError(f"check missing {sorted(missing)}: {c}")
 
     def stat(self, name, value, sample_size, detail: dict | None = None) -> None:
         rec = {

@@ -23,6 +23,7 @@ from simplex_gibbs.chain import (
     sample_step_draw,
     sample_uniform_simplex,
 )
+from simplex_gibbs.couplings import ENFORCE_TOL
 from simplex_gibbs.partitions import EdgeSchedule
 from simplex_gibbs.streams import _pairs_from_words
 from simplex_gibbs.two_stage import proportional_run
@@ -456,6 +457,74 @@ def test_pair_choice_memory_is_not_quadratic(draw):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------- exact match
+
+
+def _ulps(x, k):
+    """The double k steps of nextafter from x (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _match_grid():
+    """(target, others, candidate) cases of ``chain._match_fsum``."""
+    rng = np.random.default_rng(15)
+    pieces = []
+    for k in range(7):
+        for scale in (1e-6, 1e-3, 0.1, 1.0):
+            others = (scale * rng.random(k)).tolist()
+            pieces.append(others)
+            if k:
+                pieces.append([0.0, *others[1:]])
+                pieces.append([1.5e-323, 2.5e-310, *others[2:]])  # subnormal others
+    offsets = (1, -1, 2, -2, 7, -7, 40, -40)
+    for others in pieces:
+        for v in (1e-18, 3e-15, 1e-9, 1e-6, 1e-3, 0.1, 0.7, 1.0):
+            t = math.fsum([v, *others])
+            edge = math.ldexp(1.0, math.frexp(t)[1])  # the binade edge above t
+            for target in {t, _ulps(t, 1), _ulps(t, -1), edge, _ulps(edge, 1), _ulps(edge, -1)}:
+                d = max(0.0, math.fsum([target, *(-o for o in others)]))
+                for cand in (d, v, -d, d + 1e-9, d - 1e-9, *(_ulps(d, k) for k in offsets)):
+                    yield target, others, cand
+    # the half-ulp tie: every v + others is a tie rounded to an even last bit
+    for x in (0.75, 1.5, 0.3, 1e-3, 1.0):
+        others = [math.ulp(x) / 2]
+        t = math.fsum([x, *others])
+        for target in (t, _ulps(t, 1), _ulps(t, -1)):
+            for cand in (x, _ulps(x, 1), _ulps(x, -1), _ulps(x, 40)):
+                yield target, others, cand
+
+
+@pytest.mark.parametrize("max_move", [None, ENFORCE_TOL])
+def test_match_fsum_refuses_only_where_a_scan_finds_no_solution(max_move):
+    def admitted(v, cand):
+        return v >= 0.0 and (max_move is None or abs(v - cand) <= max_move)
+
+    cases = refused = 0
+    for target, others, cand in _match_grid():
+        cases += 1
+        v = chain._match_fsum(target, others, cand, max_move=max_move)
+        v0 = max(cand, 0.0)
+        if admitted(v0, cand) and math.fsum([v0, *others]) == target:
+            assert v == v0  # a solving candidate is kept
+        if v is not None:
+            assert admitted(v, cand) and math.fsum([v, *others]) == target
+            continue
+        refused += 1
+        d = max(0.0, math.fsum([target, *(-o for o in others)]))
+        scan, lo, hi = [0.0, d], d, d
+        for _ in range(80):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            scan += [lo, hi]
+        assert not any(admitted(w, cand) and math.fsum([w, *others]) == target for w in scan), (
+            target,
+            others,
+            cand,
+        )
+    assert cases > 45_000 and 0 < refused < cases
 
 
 def test_uniform_sampler_exact_unit_sum():

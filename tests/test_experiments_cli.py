@@ -52,13 +52,11 @@ def _read_traces(path):
 
 
 class TestSummaryReport:
-    def test_stat_shape_enforced(self):
-        with pytest.raises(ValueError, match="statistic missing"):
-            SummaryReport("simulate", {}, 0, statistics=[{"name": "x", "value": 1.0}])
-
-    def test_check_shape_enforced(self):
-        with pytest.raises(ValueError, match="check missing"):
-            SummaryReport("simulate", {}, 0, checks=[{"name": "x", "passed": True}])
+    def test_result_fields_are_not_constructor_keywords(self):
+        # records come only through stat and check, so each keeps its shape
+        for name in ("statistics", "checks", "elapsed_seconds", "total_steps"):
+            with pytest.raises(TypeError, match=name):
+                SummaryReport("simulate", {}, 0, **{name: []})
 
     def test_passed_all_empty(self):
         assert SummaryReport("simulate", {}, 0).passed_all()
