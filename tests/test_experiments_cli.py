@@ -52,6 +52,24 @@ def _read_traces(path):
 
 
 class TestSummaryReport:
+    def test_stat_shape_enforced(self):
+        # a statistic comes only through stat, which writes every key
+        with pytest.raises(TypeError, match="statistics"):
+            SummaryReport("simulate", {}, 0, statistics=[{"name": "x", "value": 1.0}])
+        rep = SummaryReport("simulate", {}, 7)
+        rep.stat("x", 1.0, 3)
+        assert rep.statistics == [{"name": "x", "value": 1.0, "sample_size": 3, "seed": 7}]
+
+    def test_check_shape_enforced(self):
+        # a check comes only through check, which writes every key
+        with pytest.raises(TypeError, match="checks"):
+            SummaryReport("simulate", {}, 0, checks=[{"name": "x", "passed": True}])
+        rep = SummaryReport("simulate", {}, 0)
+        assert rep.check("x", 0.5, 1.0, "<=")
+        assert rep.checks == [
+            {"name": "x", "passed": True, "observed": 0.5, "threshold": 1.0, "comparison": "<="}
+        ]
+
     def test_result_fields_are_not_constructor_keywords(self):
         # records come only through stat and check, so each keeps its shape
         for name in ("statistics", "checks", "elapsed_seconds", "total_steps"):
