@@ -21,6 +21,9 @@ between two load probes:
     fractions and pair sums;
   - ``shared_step``: one shared step of all n columns of ``np.eye(n)``,
     one ``chain._apply_step``, over the first 1000 draws of window 1;
+  - ``shared_step_lists``: the same step of the n + 1 chains of a tracked
+    walk, the columns of ``np.eye(n)`` and the barycenter driver as float
+    lists, one ``chain._step_lists``, over the same 1000 draws;
   - ``decode``: reading and decoding window 1 of replica 0 into pairs,
     fractions and coins, phase by phase, chunk by chunk through
     ``streams._draws_backward_batch`` with the one replica;
@@ -70,9 +73,10 @@ between two load probes:
     ``sample_step_draw(16, rng, size=267)``;
   - ``load_probe_last``: the load probe again, timed after every other row.
 The script calls only API that every commit since the array schedules
-has, except the two marked-attempt rows: they call the kernel on float
-lists, and a tree whose kernel still takes arrays gets them as rows with
-unit "missing" and no timings.  Run it single-threaded on an otherwise
+has, except three rows.  The two marked-attempt rows call the kernel on
+float lists, and a tree whose kernel still takes arrays gets them as rows
+with unit "missing" and no timings; so does ``shared_step_lists`` in a
+tree without ``chain._step_lists``.  Run it single-threaded on an otherwise
 idle machine, one label at a time, and compare two labels' rows against
 their load probes.
 """
@@ -192,6 +196,12 @@ def layers() -> dict:
     draws = list(zip((ii - 1).tolist(), (jj - 1).tolist(), rows[:, 1].tolist()))
     mat = np.eye(N)
     out["shared_step"] = (len(draws), lambda: [chain._apply_step(mat, i0, j0, lam) for i0, j0, lam in draws])
+    step_lists = getattr(chain, "_step_lists", None)
+    if step_lists is None:  # a tree that steps lists one at a time: the row is missing
+        out["shared_step_lists"] = None
+    else:
+        chains = [*np.eye(N).T.tolist(), chain.SimplexPoint.center(N).values.tolist()]
+        out["shared_step_lists"] = (len(draws), lambda: [step_lists(chains, i0, j0, lam) for i0, j0, lam in draws])
     lo, hi, _p1, p2 = cftp.window_geometry(N, 1)
     phases = ((lo + p2, hi), (lo, lo + p2))
 

@@ -17,13 +17,17 @@ assumed.  The collided point is pushed forward through the already-examined
 (nearer) windows by replaying their per-step maps.
 
 One walk, ``_walk_windows``, runs every window, tracked or replayed, for
-one replica or a group.  Each replica's chains (the n vertex chains of a
-tracked run, or the one chain of a replay) are the columns of its own
-matrix, with the driver as the last column, and the group's matrices are
-stacked in one float array: every shared step is one ``chain._apply_step``
-on that array for all chains, and every marked-time attempt one
-``couplings._subset_couple_columns`` call on a replica's followers against
-its driver, as float lists stepped in place.  Every attempt's outcome is
+one replica or a group.  Each replica walks its chains (the n vertex chains
+of a tracked run, or the one chain of a replay) with the driver as one more
+chain.  In the opening phase one replica of at most _LIST_CHAINS chains,
+which is every replay, holds them as float lists, stepped together by
+``chain._step_lists``; a group stacks its replicas' matrices in one float
+array, every shared step one ``chain._apply_step`` on index arrays for all
+chains, and one larger replica steps its matrix on scalar indices.  The
+closing phase walks each replica's chains as float lists: a shared step
+is one ``_step_lists``, and every marked-time attempt one
+``couplings._subset_couple_columns`` call on the followers against the
+driver, which steps the lists in place.  Every attempt's outcome is
 committed.  A tracked run notes why its first failing column failed and
 attempts no more; a replayed chain attempts at every marked time before
 its cutoff, with its own slope and intercept, and resolves its own
@@ -48,7 +52,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .chain import SimplexPoint, _apply_step, _step_count
+from .chain import SimplexPoint, _apply_step, _step_count, _step_lists
 from .couplings import _subset_couple_columns
 from .partitions import EdgeSchedule, PartitionAnalysis, analyze_schedule
 from .streams import _draws_backward_batch, aux_uniform
@@ -64,6 +68,12 @@ MAX_DOUBLINGS_DEFAULT = 20
 # doubles (8 MiB), so a group's memory stays bounded for every n
 _GROUP_REPLICAS = 64
 _GROUP_ENTRIES = 1 << 20
+
+# ``_walk_windows`` steps one replica of at most this many chains as float
+# lists.  Measured per shared step: the array costs 2.0-2.2 us at 17 to 65
+# chains; the lists cost 1.2, 1.4, 2.0-2.2, 2.3-2.6, 3.1-3.3 and 3.9-4.1 us
+# at 17, 25, 33, 41, 49 and 65 chains, so they stop paying near 32
+_LIST_CHAINS = 32
 
 
 def phase1_steps(n: int) -> int:
@@ -215,85 +225,84 @@ def _walk_windows(
     """Walk window [lo, hi) forward in time for R replicas at once.
 
     starts is an (R, n, C) array: replica replicas[r] walks the C columns
-    starts[r] with the barycenter driver as one more column.  The walk
-    holds the R matrices stacked as one (R * n, C + 1) float array, row i
-    of matrix r (1-based) being its row r * n + i - 1, and a shared step of
-    all of them is one ``chain._apply_step`` on it; one replica steps on
-    Python scalars, about twice as fast as on index arrays.  A shared step
-    is the exact split of each column's pair sum, so every column is the
-    single-chain trajectory of its start, bit for bit; started from the
-    identity, the columns carry the opening phase's map, which acts
-    linearly (up to rounding) on any start.  Each replica's blocks are
-    decoded in bounded chunks by ``streams._draws_backward_batch`` and its
-    closing schedule analyzed on its own.  The opening phase, blocks
-    [lo + p2, hi) in time order, applies every draw as a shared step.  In
-    the closing phase, time s (1-based) owns block lo + p2 - s.  Every time
-    is a shared step, except a replica's marked times before its cutoff,
-    where all its columns attempt the fraction coupling against its driver
-    column in one ``_subset_couple_columns`` call; a failed relation draws
-    its remainder from the block (``aux_uniform``, read at most once).
+    starts[r] with the barycenter driver as one more chain.  A shared step
+    is the exact split of each chain's pair sum, so every chain is the
+    single-chain trajectory of its start, bit for bit, however it is held;
+    started from the identity, the columns carry the opening phase's map,
+    which acts linearly (up to rounding) on any start.  Each replica's
+    blocks are decoded in bounded chunks by ``streams._draws_backward_batch``
+    and its closing schedule analyzed on its own.
 
-    Every attempt's outcome is committed: the kernel steps the replica's
-    chains, taken as float lists, in place, and rows i and j are written
-    back.  cutoffs=None is the tracked run: at a replica's first attempt
-    with a failed column it notes the first such column and attempts no
-    more, taking the shared steps to the end of the window, so a failed
-    window ends where its replay with cutoff note.time + 1 ends.  A
-    sequence of recorded cutoffs, one per replica, is the replay.  With
+    The opening phase, blocks [lo + p2, hi) in time order, applies every
+    draw as a shared step.  One replica of at most _LIST_CHAINS chains
+    (every replay, and a tracked run at n < _LIST_CHAINS) holds them as
+    C + 1 float lists stepped by ``chain._step_lists``.  Any other walk
+    holds its R matrices stacked as one (R * n, C + 1) float array, row i of
+    matrix r (1-based) being its row r * n + i - 1, and steps all of them
+    with one ``chain._apply_step``: on index arrays for a group, on Python
+    scalars for one replica.
+
+    The closing phase walks one replica after another, its matrix taken as
+    C + 1 float lists.  Time s (1-based) owns block lo + p2 - s.  Every time
+    is one ``_step_lists``, except the replica's marked times before its
+    cutoff, where all its columns attempt the fraction coupling against its
+    driver in one ``_subset_couple_columns`` call, which steps the lists in
+    place; a failed relation draws its remainder from the block
+    (``aux_uniform``, read at most once).  Every attempt's outcome is
+    committed.  cutoffs=None is the tracked run: at a replica's first
+    attempt with a failed column it notes the first such column and
+    attempts no more, taking the shared steps to the end of the window, so
+    a failed window ends where its replay with cutoff note.time + 1 ends.
+    A sequence of recorded cutoffs, one per replica, is the replay.  With
     hi = lo + p2 the opening phase is empty.
 
     Returns, per replica: the schedule's analysis, its C columns, its
     driver and its failure note.
     """
     reps, n, cols = starts.shape
-    walk = np.empty((reps * n, cols + 1))
-    mat = walk.reshape(reps, n, cols + 1)
-    mat[:, :, :cols] = starts
-    mat[:, :, cols] = SimplexPoint.center(n).values
-    base = np.arange(reps) * n - 1  # row i (1-based) of matrix r is walk row base[r] + i
-
-    def every_replica(ii, jj, lams):  # each time's 0-based rows and fractions of all R matrices
-        if reps == 1:
-            return zip((ii[0] - 1).tolist(), (jj[0] - 1).tolist(), lams[0].tolist())
-        return zip((ii + base[:, None]).T, (jj + base[:, None]).T, lams.T[:, :, None])
-
+    center = SimplexPoint.center(n).values
+    if reps == 1 and cols + 1 <= _LIST_CHAINS:
+        walk = [*starts[0].T.tolist(), center.tolist()]
+        step = _step_lists
+        held = [walk]
+    else:
+        walk = np.empty((reps * n, cols + 1))
+        step = _apply_step
+        mat = walk.reshape(reps, n, cols + 1)
+        mat[:, :, :cols] = starts
+        mat[:, :, cols] = center
+        held = (m.T.tolist() for m in mat)  # one replica's lists at a time
+        base = np.arange(reps)[:, None] * n - 1  # row i (1-based) of matrix r is walk row base[r] + i
     for ii, jj, lams, _coins in _draws_backward_batch(master, replicas, lo + p2, hi, n):
-        for i0, j0, lam in every_replica(ii, jj, lams):
-            _apply_step(walk, i0, j0, lam)
+        if reps == 1:
+            times = zip((ii[0] - 1).tolist(), (jj[0] - 1).tolist(), lams[0].tolist())
+        else:
+            times = zip((ii + base).T, (jj + base).T, lams.T[:, :, None])
+        for i0, j0, lam in times:
+            step(walk, i0, j0, lam)
 
     ii, jj, us, coins = (
         np.concatenate(parts, axis=1)
         for parts in zip(*_draws_backward_batch(master, replicas, lo, lo + p2, n))
     )
-    analyses = [analyze_schedule(EdgeSchedule(n, e)) for e in np.stack((ii, jj), axis=-1)]
-    attempts: dict[int, list[int]] = {}  # closing time -> replicas marked there
-    for r, analysis in enumerate(analyses):
-        for s in analysis.marked if analysis.connected else ():
-            if cutoffs is None or s < cutoffs[r]:
-                attempts.setdefault(s, []).append(r)
-    notes: list[FailureNote | None] = [None] * reps
-    for s, (i0, j0, lam) in enumerate(every_replica(ii, jj, us), start=1):
-        t = s - 1
-        tries = [r for r in attempts.get(s, ()) if notes[r] is None]
-        if not tries:
-            _apply_step(walk, i0, j0, lam)
-            continue
-        if len(tries) < reps:  # the other replicas take the shared step
-            step = np.delete(np.arange(reps), tries)
-            _apply_step(walk, ii[step, t] + base[step], jj[step, t] + base[step], us[step, t][:, None])
-        for r in tries:
+    walked = []
+    for r, chains in enumerate(held):
+        analysis = analyze_schedule(EdgeSchedule(n, np.stack((ii[r], jj[r]), axis=-1)))
+        cutoff = p2 + 1 if cutoffs is None else cutoffs[r]
+        tries = {s for s in analysis.marked if s < cutoff} if analysis.connected else set()
+        note = None
+        closing = zip((ii[r] - 1).tolist(), (jj[r] - 1).tolist(), us[r].tolist(), coins[r].tolist())
+        for s, (i0, j0, u, coin) in enumerate(closing, start=1):
+            if s not in tries or note is not None:
+                _step_lists(chains, i0, j0, u)
+                continue
             aux = cache(partial(aux_uniform, master, replicas[r], lo + p2 - s))
-            rec = analyses[r].splits[s]
-            chains = mat[r].T.tolist()
-            cpls = _subset_couple_columns(
-                chains[:cols], chains[cols], rec, float(us[r, t]), float(coins[r, t]), aux
-            )
-            for row in (rec.i - 1, rec.j - 1):
-                mat[r, row] = [x[row] for x in chains]
+            cpls = _subset_couple_columns(chains[:cols], chains[cols], analysis.splits[s], u, coin, aux)
             if cutoffs is None:
-                notes[r] = _failure_note(s, cpls)
-    return [(analyses[r], mat[r, :, :cols].copy(), mat[r, :, cols].copy(), notes[r])
-            for r in range(reps)]
+                note = _failure_note(s, cpls)
+        out = np.array(chains).T
+        walked.append((analysis, out[:, :cols], out[:, cols], note))
+    return walked
 
 
 def _epoch_record(

@@ -19,12 +19,12 @@ tolerance.
 
 There is no stepping function for validated points: every loop of the
 package holds its chains as raw floats (a list, a vector or the columns of
-a matrix) and steps them in place with ``_apply_step``, building a
-validated ``SimplexPoint`` only where a point enters or leaves the loop.
-Subset weights are ``math.fsum`` sums taken where they are needed.  Step
-draws likewise come only as arrays: ``sample_step_draw(..., size=K)``
-returns K pairs and fractions at once, and ``_pairs_at`` decodes pair
-numbers in bulk.
+a matrix) and steps them in place with ``_apply_step``, or several lists
+at once with ``_step_lists``, building a validated ``SimplexPoint`` only
+where a point enters or leaves the loop.  Subset weights are ``math.fsum``
+sums taken where they are needed.  Step draws likewise come only as
+arrays: ``sample_step_draw(..., size=K)`` returns K pairs and fractions at
+once, and ``_pairs_at`` decodes pair numbers in bulk.
 
 Coordinate indices are 1-based everywhere in the public API.
 """
@@ -424,11 +424,27 @@ def _apply_step(arr: np.ndarray | list[float], i0: int | np.ndarray, j0: int | n
     one gather, split and scatter then steps R matrices whose rows are
     stacked in arr, matrix r its rows i0[r] and j0[r] with lam[r, 0].  The
     rows must be distinct, or a scatter would overwrite another's update.
+    Index arrays serve only the opening phase of a group's window walk
+    (``cftp._walk_windows``); ``_step_lists`` steps several lists at once.
     """
     s = arr[i0] + arr[j0]
     a, b = exact_split(lam, s)
     arr[i0] = a
     arr[j0] = b
+
+
+def _step_lists(chains: list[list[float]], i0: int, j0: int, lam: float) -> None:
+    """``_apply_step(x, i0, j0, lam)`` on each float list x of chains.
+
+    The exact split's two lines run inline for each list, the same
+    arithmetic in the same order, so every list ends bit for bit where
+    ``_apply_step`` would leave it; inlining saves two calls per list.
+    """
+    for x in chains:
+        s = x[i0] + x[j0]
+        b = s - lam * s
+        x[i0] = s - b
+        x[j0] = b
 
 
 def sample_uniform_simplex(n: int, rng: np.random.Generator) -> SimplexPoint:

@@ -1,7 +1,7 @@
 """Couplings of two pair-mixing chains.
 
 Two mechanisms are provided.  The proportional coupling feeds the same
-(i, j, lam) draw to both chains (``chain._apply_step`` applied to each);
+(i, j, lam) draw to both chains (``chain._step_lists`` steps both);
 squared distance then contracts by the factor in
 ``chain.contraction_factor`` in expectation and never increases the
 per-coordinate gap, but it cannot make two continuous states collide in

@@ -33,6 +33,7 @@ from .chain import (
     _sq_distance_raw,
     _step_count,
     _step_draws,
+    _step_lists,
     contraction_factor,
     pair_count,
     sq_distance,
@@ -308,8 +309,7 @@ def run_contraction(
     ratios = np.empty(replicas)
     for r, (i, j, lam) in enumerate(zip(ii.tolist(), jj.tolist(), lams.tolist())):
         xs, ys = x0.copy(), y0.copy()
-        _apply_step(xs, i - 1, j - 1, lam)
-        _apply_step(ys, i - 1, j - 1, lam)
+        _step_lists((xs, ys), i - 1, j - 1, lam)
         ratios[r] = _sq_distance_raw(xs, ys) / z0
     run.total_steps = replicas
     observed = float(ratios.mean())

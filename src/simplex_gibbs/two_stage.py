@@ -21,8 +21,8 @@ The first failed attempt demotes the remainder of the pass to proportional
 stepping; collision can then no longer be certified for that replica.
 
 Both phases are hot loops, so both walk raw float lists: the inputs are
-validated ``SimplexPoint``s, in between each chain is a list of doubles
-stepped in place with ``chain._apply_step``, and one validated
+validated ``SimplexPoint``s, in between the chains are lists of doubles
+stepped in place together by ``chain._step_lists``, and one validated
 ``SimplexPoint`` per chain is built at exit.  ``proportional_run`` takes
 its draws in bulk, one ``sample_step_draw(n, rng, size=...)`` per bounded
 chunk of steps; the bulk draws decode the generator's PCG64 words directly
@@ -44,9 +44,9 @@ import numpy as np
 
 from .chain import (
     SimplexPoint,
-    _apply_step,
     _sq_distance_raw,
     _step_draws,
+    _step_lists,
     sample_uniform_simplex,
     sq_distance,
 )
@@ -85,7 +85,7 @@ def proportional_run(
     ``sample_step_draw(n, rng, size=...)``, one call per bounded chunk of
     steps (``chain._step_draws``), equal to one generator call per pair and
     per fraction in the order the generator yields them, and each is
-    applied to both lists with ``chain._apply_step``.  When z_out is a
+    applied to both lists with one ``chain._step_lists``.  When z_out is a
     list, the squared distance after each step is appended to it (one
     value per step).  Raises
     ValueError for a step count that is negative, a bool or not an integer
@@ -95,8 +95,7 @@ def proportional_run(
         raise ValueError("dimension mismatch")
     xs, ys = x.values.tolist(), y.values.tolist()
     for i0, j0, lam in _step_draws(x.n, steps, rng):
-        _apply_step(xs, i0, j0, lam)
-        _apply_step(ys, i0, j0, lam)
+        _step_lists((xs, ys), i0, j0, lam)
         if z_out is not None:
             z_out.append(_sq_distance_raw(xs, ys))
     return SimplexPoint(xs), SimplexPoint(ys)
@@ -167,9 +166,7 @@ def two_stage_pass(
     for s, (i0, j0) in enumerate(zip(ii, jj), start=1):
         rec = splits.get(s) if failed_at is None else None
         if rec is None:
-            lam = float(rng.random())
-            _apply_step(xs, i0, j0, lam)
-            _apply_step(ys, i0, j0, lam)
+            _step_lists((xs, ys), i0, j0, float(rng.random()))
         else:
             pre_sup = max(abs(a - b) for a, b in zip(xs, ys))
             pre_min = min(min(xs), min(ys))

@@ -503,6 +503,41 @@ def test_walk_matches_reference_on_forced_failures():
         assert _walks_agree(np.array(cols).T, 5, 1, lo, lo + p2, p2, None) is not None
 
 
+@pytest.mark.parametrize("n", [30, 31, 32, 33])
+def test_walk_matches_reference_at_the_list_border(n):
+    # a tracked run holds n + 1 chains: float lists up to n = 31, the matrix
+    # from n = 32 on; a replay holds two chains, always lists
+    assert cftp._LIST_CHAINS == 32
+    rng = np.random.default_rng(n)
+    for replica in range(3):
+        for k in (1, 2):
+            lo, hi, _p1, p2 = window_geometry(n, k)
+            note = _walks_agree(np.eye(n), 5, replica, lo, hi, p2, None)
+            recorded = p2 + 1 if note is None else note.time
+            for x0 in (np.eye(n)[:, replica], sample_uniform_simplex(n, rng).values):
+                _walks_agree(x0[:, None], 5, replica, lo, hi, p2, recorded)
+
+
+def test_walk_is_the_same_on_lists_and_on_the_matrix(monkeypatch):
+    # _LIST_CHAINS = 0 walks every opening phase on the matrix, 10**6 every
+    # one-replica opening phase on lists; records and replays are equal
+    def outputs():
+        out = []
+        for n in (5, 16, 40):
+            for replica in range(4):
+                for k in (1, 2):
+                    rec = run_epoch(n, 5, replica, k)
+                    replay = propagate_through_epoch(SimplexPoint.vertex(n, 1), rec)
+                    out.append((_record_bits(rec), replay.values.tobytes()))
+        return out
+
+    monkeypatch.setattr(cftp, "_LIST_CHAINS", 0)
+    on_matrix = outputs()
+    monkeypatch.setattr(cftp, "_LIST_CHAINS", 10**6)
+    assert outputs() == on_matrix
+    assert any(rec[1] is not None for rec, _replay in on_matrix)  # failed windows too
+
+
 def test_walk_is_chunk_invariant(monkeypatch):
     # with 7-block chunks, chunk borders fall inside the opening phase, on
     # the opening/closing border and inside the closing phase
@@ -604,9 +639,16 @@ def test_first_window_groups_are_bounded(monkeypatch):
 
 def test_batched_walk_is_chunk_invariant(monkeypatch):
     # with 7-block chunks, chunk borders fall inside both phases and on
-    # the border between them
+    # the border between them, in the batched window 1 and in the
+    # one-replica list walks of window 2 and of a replay through it
     def outputs():
-        return [[_record_bits(r) for r in _first_epochs(n, master, 6)] for n, master in ((16, 5), (5, 99))]
+        batched = [[_record_bits(r) for r in _first_epochs(n, master, 6)] for n, master in ((16, 5), (5, 99))]
+        deeper = []
+        for replica in range(4):
+            rec = run_epoch(16, 5, replica, 2)
+            replay = propagate_through_epoch(SimplexPoint.vertex(16, 1), rec)
+            deeper.append((_record_bits(rec), replay.values.tobytes()))
+        return batched, deeper
 
     default = outputs()
     sizes = []

@@ -128,6 +128,30 @@ def test_apply_step_matches_scalar_splits_in_every_shape(shape):
         assert np.asarray(held, dtype=np.float64).tobytes() == want.tobytes()
 
 
+# coordinates: zeros, subnormals, and random doubles of [0, 1]
+_COORDS = hst.one_of(
+    hst.just(0.0),
+    hst.floats(5e-324, math.ulp(0.0) * 2**52, allow_subnormal=True),
+    hst.floats(0.0, 1.0),
+)
+_LAMS = hst.one_of(hst.sampled_from([0.0, 1.0, 0.5, math.nextafter(1.0, 0.0)]), hst.floats(0.0, 1.0))
+
+
+@pytest.mark.parametrize("count", [1, 17])
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data())
+def test_step_lists_equals_apply_step_on_each_list(count, data):
+    n = data.draw(hst.integers(2, 9))
+    chains = [data.draw(hst.lists(_COORDS, min_size=n, max_size=n)) for _ in range(count)]
+    i0, j0 = data.draw(hst.permutations(range(n)))[:2]
+    lam = data.draw(_LAMS)
+    want = [x[:] for x in chains]
+    for x in want:
+        chain._apply_step(x, i0, j0, lam)
+    chain._step_lists(chains, i0, j0, lam)
+    assert [[v.hex() for v in x] for x in chains] == [[v.hex() for v in x] for x in want]
+
+
 # ---------------------------------------------------------------- SimplexPoint
 
 
