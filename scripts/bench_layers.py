@@ -47,7 +47,13 @@ between two load probes:
     alone, as the replay and the collision stage make it;
   - ``match_fsum``: one exact piece-weight match, ``chain._match_fsum``,
     over the calls that ``run_cftp(16, 20, 10**6)`` makes through the
-    kernel, captured once by wrapping ``couplings._match_fsum``;
+    kernel, captured once by wrapping ``couplings._match_fsum``.  A kernel
+    that tests the piece weights itself first calls it only on a miss, so
+    on such a tree the row times those calls alone;
+  - ``couple_lambdas``: one fraction coupling, ``couplings.couple_lambdas``,
+    over the (m, delta, u, coin) of every call that the kernel makes in
+    ``run_cftp(16, 20, 10**6)``, captured the same way, each failed
+    relation given the remainder uniform 0.5;
   - ``run_epoch``: one tracked window, averaged over replicas 0..7;
   - ``propagate_through_epoch``: one replay of a point through a window;
   - ``cftp_sample``: one exact sample, averaged over replicas 0..7;
@@ -240,9 +246,13 @@ def layers() -> dict:
     else:
         out["marked_attempt_kernel"] = (200, lambda: [attempt(every) for _ in range(200)])
         out["marked_attempt_one_column"] = (200, lambda: [attempt(first) for _ in range(200)])
-    matches = match_calls()
+    matches = kernel_calls("_match_fsum")
     out["match_fsum"] = (len(matches), lambda: [
         chain._match_fsum(t, others, c, max_move=m) for t, others, c, m in matches
+    ])
+    relations = [args[:4] for args in kernel_calls("couple_lambdas")]
+    out["couple_lambdas"] = (len(relations), lambda: [
+        couplings.couple_lambdas(m, d, u, coin, half) for m, d, u, coin in relations
     ])
     certified = next(r for r in (cftp.run_epoch(N, MASTER, k, 1) for k in range(40)) if r.coalesced)
     point = chain.SimplexPoint.vertex(N, 1)
@@ -288,23 +298,28 @@ def load_probe() -> int:
     return total
 
 
-def match_calls() -> list[tuple]:
-    """(target, others, candidate, max_move) of each ``_match_fsum`` call
-    that the kernel makes in ``run_cftp(16, 20, 10**6)``."""
+def half() -> float:
+    """The remainder uniform of the ``couple_lambdas`` row."""
+    return 0.5
+
+
+def kernel_calls(name: str) -> list[tuple]:
+    """The arguments, in signature order, of each call that the kernel makes
+    to ``couplings.<name>`` in ``run_cftp(16, 20, 10**6)``."""
     couplings = importlib.import_module("simplex_gibbs.couplings")
     experiments = importlib.import_module("simplex_gibbs.experiments")
-    match = couplings._match_fsum
+    fn = getattr(couplings, name)
     calls = []
 
-    def logged(target, others, candidate, max_move=None):
-        calls.append((target, list(others), candidate, max_move))
-        return match(target, others, candidate, max_move=max_move)
+    def logged(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return fn(*args, **kwargs)
 
-    couplings._match_fsum = logged
+    setattr(couplings, name, logged)
     try:
         experiments.run_cftp(N, CHUNK_SAMPLES, CHUNK_SEEDS[0])
     finally:
-        couplings._match_fsum = match
+        setattr(couplings, name, fn)
     return calls
 
 

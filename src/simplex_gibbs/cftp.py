@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
 
 import numpy as np
 
@@ -219,6 +218,23 @@ def _failure_note(s: int, cpls) -> FailureNote | None:
     )
 
 
+def _remainder_draw(master: int, replica: int, block: int):
+    """The block's remainder uniform as a one-shot zero-argument callable.
+
+    The uniform is derived by ``aux_uniform`` on the first call only; every
+    later call returns the same value.  An attempt in which every relation
+    holds thus derives none, and its failed columns share one.
+    """
+    drawn = []
+
+    def aux() -> float:
+        if not drawn:
+            drawn.append(aux_uniform(master, replica, block))
+        return drawn[0]
+
+    return aux
+
+
 def _walk_windows(
     starts: np.ndarray, master: int, replicas, lo: int, hi: int, p2: int, cutoffs=None
 ) -> list[tuple[PartitionAnalysis, np.ndarray, np.ndarray, FailureNote | None]]:
@@ -248,7 +264,8 @@ def _walk_windows(
     cutoff, where all its columns attempt the fraction coupling against its
     driver in one ``_subset_couple_columns`` call, which steps the lists in
     place; a failed relation draws its remainder from the block
-    (``aux_uniform``, read at most once).  Every attempt's outcome is
+    (``_remainder_draw``: ``aux_uniform``, derived at most once and only
+    when a relation fails).  Every attempt's outcome is
     committed.  cutoffs=None is the tracked run: at a replica's first
     attempt with a failed column it notes the first such column and
     attempts no more, taking the shared steps to the end of the window, so
@@ -296,7 +313,7 @@ def _walk_windows(
             if s not in tries or note is not None:
                 _step_lists(chains, i0, j0, u)
                 continue
-            aux = cache(partial(aux_uniform, master, replicas[r], lo + p2 - s))
+            aux = _remainder_draw(master, replicas[r], lo + p2 - s)
             cpls = _subset_couple_columns(chains[:cols], chains[cols], analysis.splits[s], u, coin, aux)
             if cutoffs is None:
                 note = _failure_note(s, cpls)

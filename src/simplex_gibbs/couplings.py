@@ -29,7 +29,11 @@ says why it was refused.
 package.  It couples any number of follower chains, each a float list,
 against one driver list and steps every list in place, each follower with
 its coupled fraction, so every outcome it returns is committed; its callers
-differ only in when they stop attempting.
+differ only in when they stop attempting.  Per column it makes one call,
+to ``couple_lambdas``, which builds the column's ``PairCoupling`` (a named
+tuple): the follower's split is the exact split's two lines inline, and a
+piece weight that already matches is kept without calling
+``chain._match_fsum``.
 On success it adjusts the two updated coordinates so that the fsum weights
 of the two pieces agree with the driver bit for bit.  A piece that is a
 singleton {l} therefore leaves x_l bitwise equal to y_l, which is what
@@ -44,8 +48,7 @@ ulp whatever the moved coordinate is.  Such an attempt is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chain import _apply_step, _match_fsum
 from .partitions import SplitRecord
@@ -102,13 +105,15 @@ OK, OUT_OF_RANGE, THINNED, DEGENERATE, NUDGE_REFUSED = range(5)
 REASONS = ("ok", "out_of_range", "thinned", "degenerate", "nudge_refused")
 
 
-@dataclass(frozen=True)
-class PairCoupling:
+class PairCoupling(NamedTuple):
     """Outcome of one attempted fraction coupling.
 
     lam_y is the driver draw, lam_x the coupled fraction (equal to
     m * lam_y + delta on success, a remainder draw otherwise).  code is an
-    index into REASONS: OK, or why the attempt failed.
+    index into REASONS: OK, or why the attempt failed.  The record is an
+    immutable named tuple, built once per column of every marked-time
+    attempt, so it is kept cheap to build; a copy with another code is
+    ``cpl._replace(code=...)``.
     """
 
     lam_x: float
@@ -190,13 +195,15 @@ def _subset_couple_columns(
     """Weight-matching attempt of every follower chain against the driver yv.
 
     cols holds C follower chains as float lists, and all C + 1 lists are
-    stepped in place with ``chain._apply_step``.  rec is the marked time's
-    split: pair (i, j) steps, with i in piece_i and j in piece_j.  All
-    followers share the driver fraction u and the thinning coin.  Each
-    follower's slope m and intercept delta (an fsum over piece_i without i,
-    divided by x_i + x_j) go to ``couple_lambdas``, which calls aux once per
-    failed relation; a zero pair sum leaves no usable relation (m = inf or
-    0, delta = nan).  Only entries i and j of any list change.
+    stepped in place: the driver with ``chain._apply_step``, each follower
+    with the exact split's two lines inline, as ``chain._step_lists`` runs
+    them.  rec is the marked time's split: pair (i, j) steps, with i in
+    piece_i and j in piece_j.  All followers share the driver fraction u
+    and the thinning coin.  Each follower's slope m and intercept delta (an
+    fsum over piece_i without i, divided by x_i + x_j) go to
+    ``couple_lambdas``, which calls aux once per failed relation; a zero
+    pair sum leaves no usable relation (m = inf or 0, delta = nan).  Only
+    entries i and j of any list change.
 
     Each follower commits its own outcome, coded in its PairCoupling:
       - OK: the split at m * u + delta, with x_i and x_j then moved so that
@@ -206,6 +213,10 @@ def _subset_couple_columns(
         m * u + delta, unmoved, and no aux draw;
       - OUT_OF_RANGE, THINNED or DEGENERATE: the split at the remainder
         fraction.
+
+    A piece whose fsum weight already equals the driver's keeps its moved
+    coordinate as split.  That test is ``_match_fsum``'s first try, bit for
+    bit, so ``_match_fsum`` runs only when it misses.
 
     Returns one PairCoupling per follower, in the order of cols.
     """
@@ -217,22 +228,30 @@ def _subset_couple_columns(
     _apply_step(yv, i0, j0, u)
     target_i = math.fsum([yv[l - 1] for l in rec.piece_i])
     target_j = math.fsum([yv[l - 1] for l in rec.piece_j])
+    fsum = math.fsum
     cpls = []
     for col in cols:
         x_held = [col[l] for l in held_i]
         s_x = col[i0] + col[j0]
         if s_x > 0.0 and s_y > 0.0:
             m = s_y / s_x
-            delta = math.fsum(y_held + [-v for v in x_held]) / s_x
+            delta = fsum(y_held + [-v for v in x_held]) / s_x
         else:
             m, delta = (math.inf if s_x == 0.0 else 0.0), math.nan
         cpl = couple_lambdas(m, delta, u, coin, aux)
-        _apply_step(col, i0, j0, min(1.0, max(0.0, cpl.lam_x)))
+        lam = cpl.lam_x
+        if not 0.0 <= lam <= 1.0:
+            lam = min(1.0, max(0.0, lam))
+        b = s_x - lam * s_x
+        a = s_x - b
+        col[i0] = a
+        col[j0] = b
         if cpl.code == OK:
-            vi = _match_fsum(target_i, x_held, col[i0], max_move=ENFORCE_TOL)
-            vj = _match_fsum(target_j, [col[l] for l in held_j], col[j0], max_move=ENFORCE_TOL)
+            vi = a if fsum(x_held + [a]) == target_i else _match_fsum(target_i, x_held, a, ENFORCE_TOL)
+            xj_held = [col[l] for l in held_j]
+            vj = b if fsum(xj_held + [b]) == target_j else _match_fsum(target_j, xj_held, b, ENFORCE_TOL)
             if vi is None or vj is None:
-                cpl = replace(cpl, code=NUDGE_REFUSED)
+                cpl = cpl._replace(code=NUDGE_REFUSED)
             else:
                 col[i0], col[j0] = vi, vj
         cpls.append(cpl)

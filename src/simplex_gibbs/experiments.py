@@ -364,7 +364,7 @@ def run_couple(
     stationary side still has the stationary first-coordinate marginal at
     the end.
     """
-    if n < 2 or replicas < 1:
+    if n < 2 or _step_count(replicas, "replicas") < 1:
         raise ValueError("need n >= 2, replicas >= 1")
     d = 4.0 * C if d is None else d
     e = 2.0 * C if e is None else e
@@ -612,7 +612,7 @@ def run_cftp(
     from its window-1 record, so the report equals that of one
     ``cftp_sample`` call per sample, bit for bit.
     """
-    if n < 2 or samples < 1:
+    if n < 2 or _step_count(samples, "samples") < 1:
         raise ValueError("need n >= 2, samples >= 1")
     if _step_count(max_doublings, "max_doublings") < 1:
         raise ValueError("max_doublings must be >= 1")
@@ -646,7 +646,7 @@ def run_cftp(
     import scipy.stats as _st
 
     cdf = _coord_cdf(n)
-    pvals = [float(_st.kstest(points[:, k], cdf).pvalue) for k in range(n)]
+    pvals = _st.kstest(points, cdf, axis=0).pvalue.tolist()
     # sd of a coordinate mean: coordinate variance (n-1)/(n^2 (n+1))
     sigma = math.sqrt((n - 1.0) / (n + 1.0)) / (n * math.sqrt(samples))
     mean_dev = float(np.max(np.abs(points.mean(axis=0) - 1.0 / n)))

@@ -108,6 +108,27 @@ def test_aux_uniform_is_addressed_by_block():
     assert aux_uniform(1, 2, 9) != aux_uniform(1, 3, 9)
 
 
+def test_remainder_uniform_is_derived_only_when_a_relation_fails(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return aux_uniform(*args)
+
+    monkeypatch.setattr(cftp, "aux_uniform", counted)
+    rec = run_epoch(16, 5, 0, 1)
+    assert rec.coalesced and calls == []
+    # with no opening phase the vertex columns lie far from the driver, and
+    # the attempt that fails derives its block's uniform once
+    p2 = phase2_steps(16)
+    _analysis, _cols, _driver, note = _walk_windows(np.eye(16)[None], 5, (0,), 0, p2, p2)[0]
+    assert note.reason in ("out_of_range", "thinned", "degenerate")
+    assert calls == [(5, 0, p2 - note.time)]
+    once = cftp._remainder_draw(1, 2, 9)
+    assert once() == once() == aux_uniform(1, 2, 9)
+    assert calls[1:] == [(1, 2, 9)]
+
+
 def test_pair_from_word_covers_all_pairs():
     i, j = _pairs_from_words(np.linspace(0.0, 0.9999, 600), 4)
     assert set(zip(i.tolist(), j.tolist())) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}

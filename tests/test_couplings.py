@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from simplex_gibbs import cftp
 from simplex_gibbs.chain import (
     SimplexPoint,
     _apply_step,
@@ -240,7 +241,7 @@ def subset_couple_step(x, y, i, j, piece_i, piece_j, u, coin, aux):
             others = [float(xa[l - 1]) for l in piece if l != k]
             nudged.append(_match_fsum(target, others, float(xa[k - 1]), max_move=ENFORCE_TOL))
         if None in nudged:
-            cpl = replace(cpl, code=NUDGE_REFUSED)
+            cpl = cpl._replace(code=NUDGE_REFUSED)
         else:
             xa[i0], xa[j0] = nudged
     return SimplexPoint(xa), SimplexPoint(ya), cpl
@@ -423,8 +424,15 @@ class _CountingAux:
         return self.calls / 8.0 % 1.0
 
 
+def _hex(values) -> list:
+    """Floats as hex, so that signed zeros and NaNs compare by their bits."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
 def _check_against_oracle(xs, y, rec, u, coin) -> list[str]:
     """Every column of one kernel call against the scalar oracle, bitwise.
+
+    Every list entry and every PairCoupling field is compared as hex.
 
     The kernel's remainder uniforms are numbered in call order; column v's
     oracle gets the uniform the kernel should have given it, and uses it
@@ -447,17 +455,15 @@ def _check_against_oracle(xs, y, rec, u, coin) -> list[str]:
         assert oracle_aux.calls - before == (want in RELATION_FAILED)
         got = cpls[v]
         assert got.reason == want
-        assert got.m.hex() == cpl.m.hex()
-        assert got.delta.hex() == cpl.delta.hex()
-        assert got.lam_x.hex() == cpl.lam_x.hex() and got.lam_y == u
-        assert np.array_equal(y_next, y2.values)
+        assert _hex(got) == _hex(cpl) and got.lam_y == u
+        assert _hex(y_next) == _hex(y2.values.tolist())
         # every column commits its outcome, failed columns included
-        assert np.array_equal(out[v], x2.values)
+        assert _hex(out[v]) == _hex(x2.values.tolist())
         # alone, given the same remainder uniform, a column commits the same
         one = xs[:, v].tolist()
         (alone,) = _subset_couple_columns([one], y.tolist(), rec, u, coin, _CountingAux(before))
-        assert alone.code == got.code
-        assert np.array_equal(one, out[v])
+        assert _hex(alone) == _hex(got)
+        assert _hex(one) == _hex(out[v])
     assert aux.calls == oracle_aux.calls
     return seen
 
@@ -530,6 +536,108 @@ def test_refused_nudge_round_half_even_tie():
     assert all(math.ldexp(t, 55) % 2.0 == 0.0 for t in sums)  # even last bit
     assert _match_fsum(target, [x15], x13) is None
     assert _match_fsum(target, [x15], x13, max_move=ENFORCE_TOL) is None
+
+
+@cache
+def _tie_attempt():
+    """The marked-time attempt of window run_epoch(16, 5, 1, 1) at time 74.
+
+    Captured from the window walk as (columns as an (n, C) array, driver,
+    split record, u, coin).  Column 1's nudge meets the half-ulp tie of
+    ``test_refused_nudge_round_half_even_tie`` and is refused.
+    """
+    kernel = cftp._subset_couple_columns
+    seen = []
+
+    def capture(cols, yv, rec, u, coin, aux):
+        if rec.time == 74:
+            seen.append((np.array(cols).T, np.array(yv), rec, u, coin))
+        return kernel(cols, yv, rec, u, coin, aux)
+
+    cftp._subset_couple_columns = capture
+    try:
+        note = cftp.run_epoch(16, 5, 1, 1).failure
+    finally:
+        cftp._subset_couple_columns = kernel
+    assert (note.time, note.column, note.reason) == (74, 1, "nudge_refused")
+    (state,) = seen
+    return state
+
+
+def _with_subnormal(v: np.ndarray, k: int, t: int) -> np.ndarray:
+    """v with coordinate k set to the subnormal t * 2^-1074, its mass moved to
+    the largest other coordinate."""
+    w = np.array(v)
+    big = max((l for l in range(len(w)) if l != k), key=lambda l: w[l])
+    tiny = math.ldexp(float(t), -1074)
+    w[big] += w[k] - tiny
+    w[k] = tiny
+    return w
+
+
+def _adversarial_columns(y: np.ndarray, rec, rng, t: int) -> list[np.ndarray]:
+    """Followers of driver y at the kernel's edges, for the split rec."""
+    i0, j0 = rec.i - 1, rec.j - 1
+    part0 = [l - 1 for l in rec.part]
+    cols = [np.array(y)]  # bitwise the driver
+    for scale in (1e-12, 1e-6, 0.3):  # part weight tied to the driver's
+        x = _follower(y, part0, scale, rng)
+        if x is not None:
+            cols.append(x)
+    held = [l - 1 for l in rec.piece_i + rec.piece_j if l not in (rec.i, rec.j)]
+    for k in [i0, j0, *held[:1]]:  # a subnormal moved or held coordinate
+        cols.append(_with_subnormal(y, k, t))
+    cols.append(_with_subnormal(_with_subnormal(y, i0, t), j0, t))  # subnormal pair sum
+    if len(y) > 2:  # a zero pair sum: DEGENERATE
+        zero = np.array(y)
+        rest = next(l for l in range(len(y)) if l not in (i0, j0))
+        zero[rest] += zero[i0] + zero[j0]
+        zero[i0] = zero[j0] = 0.0
+        cols.append(zero)
+    cols.append(sample_uniform_simplex(len(y), rng).values)
+    return cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tie=hst.booleans(),
+    n=hst.integers(2, 8),
+    size_i=hst.integers(1, 7),
+    size_j=hst.integers(1, 7),
+    seed=hst.integers(0, 2**32 - 1),
+    t=hst.integers(1, 2**52 - 1),
+    subnormal_driver=hst.booleans(),
+    u=hst.floats(0.0, 1.0),
+    coin=hst.floats(0.0, 1.0),
+)
+@example(tie=True, n=2, size_i=1, size_j=1, seed=0, t=1, subnormal_driver=False, u=0.5, coin=0.5)
+@example(tie=False, n=2, size_i=1, size_j=1, seed=0, t=1, subnormal_driver=True, u=0.5, coin=0.5)
+@example(tie=False, n=5, size_i=1, size_j=1, seed=1, t=2**52 - 1, subnormal_driver=False, u=0.5, coin=0.01)
+def test_kernel_matches_scalar_oracle_on_adversarial_columns(
+    tie, n, size_i, size_j, seed, t, subnormal_driver, u, coin
+):
+    # a split with pieces of any size (singletons hold nothing), a driver
+    # and followers with subnormal coordinates, a zero pair sum, a column
+    # bitwise equal to the driver, and the half-ulp tie of window
+    # (16, 5, 1, 1), whose column 1 must still be refused
+    rng = np.random.default_rng(seed)
+    if tie:
+        xs, y, rec, u, coin = _tie_attempt()
+        first = list(xs.T)
+    else:
+        size_i = min(size_i, n - 1)
+        size_j = min(size_j, n - size_i)
+        perm = (rng.permutation(n) + 1).tolist()
+        piece_i, piece_j = tuple(sorted(perm[:size_i])), tuple(sorted(perm[size_i:size_i + size_j]))
+        rec = _split(piece_i[rng.integers(size_i)], piece_j[rng.integers(size_j)], piece_i, piece_j)
+        y = sample_uniform_simplex(n, rng).values
+        if subnormal_driver:
+            y = _with_subnormal(y, int(rng.integers(n)), t)
+        first = []
+    cols = np.array(first + _adversarial_columns(y, rec, rng, t)).T
+    seen = _check_against_oracle(cols, y, rec, u, coin)
+    if tie:
+        assert seen[0] == "nudge_refused"
 
 
 # ---------------------------------------------------------- proportional

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
+from scipy import stats
 
 from simplex_gibbs import cli, experiments
 from simplex_gibbs.cftp import cftp_sample, run_epoch
@@ -291,6 +292,23 @@ class TestCftp:
         if n > 2:  # some sample went on past a failed window 1
             assert max(r for _r, r, _c in _read_traces(tmp_path / "loop.csv")) > 1
 
+    @pytest.mark.parametrize("n, samples", [(16, 20), (3, 400), (5, 2000), (64, 8), (16, 1)])
+    def test_one_ks_call_equals_per_coordinate_calls(self, n, samples):
+        # the driver tests every coordinate in one kstest along axis 0; its
+        # p-values are those of one kstest per coordinate, bit for bit
+        points = np.random.default_rng(n * samples).dirichlet(np.ones(n), size=samples)
+        cdf = experiments._coord_cdf(n)
+        one = stats.kstest(points, cdf, axis=0).pvalue.tolist()
+        per = [float(stats.kstest(points[:, k], cdf).pvalue) for k in range(n)]
+        assert [p.hex() for p in one] == [p.hex() for p in per]
+
+    def test_reported_ks_p_values_are_per_coordinate(self):
+        stat = run_cftp(3, 40, 2).to_json_dict()["statistics"][0]
+        assert stat["name"] == "coordinate_ks_min_p"
+        points = np.array([cftp_sample(3, 2, r).point.values for r in range(40)])
+        per = [float(stats.kstest(points[:, k], experiments._coord_cdf(3)).pvalue) for k in range(3)]
+        assert [p.hex() for p in stat["detail"]["per_coordinate"]] == [p.hex() for p in per]
+
     def test_budget_error_propagates(self):
         from simplex_gibbs.cftp import BudgetExhaustedError
 
@@ -320,6 +338,8 @@ COUNT_ENTRY_POINTS = {
     "connectivity_T": (lambda v: run_connectivity(4, 1.0, 1, 0, T=v), -1),
     "sampler_budget": (lambda v: cftp_sample(3, 0, 0, max_doublings=v), 0),
     "driver_budget": (lambda v: run_cftp(3, 1, 0, max_doublings=v), 0),
+    "cftp_samples": (lambda v: run_cftp(3, v, 0), 0),
+    "couple_replicas": (lambda v: run_couple(3, 1.0, v, 0), 0),
 }
 
 
