@@ -39,6 +39,11 @@ between two load probes:
   - ``schedule_analysis_16``: one ``analyze_schedule`` of
     ``EdgeSchedule.sample(16, 45)``, the collision stage's schedule, with
     every split record read, averaged over ``default_rng(0..19)``;
+  - ``schedule_first_record_64``: one ``analyze_schedule`` of
+    ``EdgeSchedule.sample(64, phase2_steps(64))``, a schedule as long as
+    window 1's closing phase at n = 64, and a read of its first marked
+    time's split record, as a window walk's first attempt reads it,
+    averaged over ``default_rng(0..19)``;
   - ``marked_attempt_kernel``: one marked-time attempt of all n vertex
     columns against the driver with ``couplings._subset_couple_columns``,
     as the window walk makes it: the state taken as one float list per
@@ -232,6 +237,15 @@ def layers() -> dict:
         return [analysis.splits[s] for s in analysis.marked]
 
     out["schedule_analysis_16"] = (len(stage), lambda: [read_every_record(s) for s in stage])
+    closing = [
+        partitions.EdgeSchedule.sample(64, cftp.phase2_steps(64), np.random.default_rng(r)) for r in range(20)
+    ]
+
+    def read_first_record(schedule):
+        analysis = partitions.analyze_schedule(schedule)
+        return analysis.splits[analysis.marked[0]]
+
+    out["schedule_first_record_64"] = (len(closing), lambda: [read_first_record(s) for s in closing])
 
     def attempt(state):  # as the walk makes it: one float list per chain, the driver last
         chains = state.T.tolist()

@@ -232,7 +232,7 @@ def run_simulate(
     and produce traces.  The trace value at time t is the squared distance
     to the barycenter.
     """
-    if n < 2 or T < 0 or replicas < 1:
+    if n < 2 or T < 0 or _step_count(replicas, "replicas") < 1:
         raise ValueError("need n >= 2, T >= 0, replicas >= 1")
     run = SummaryReport(
         "simulate",
@@ -287,7 +287,7 @@ def run_contraction(
     The predicted ratio is ``contraction_factor(n, E[lam^2])``; at n = 2 the
     prediction is zero and the check demands exact collision.
     """
-    if n < 2 or replicas < 1:
+    if n < 2 or _step_count(replicas, "replicas") < 1:
         raise ValueError("need n >= 2, replicas >= 1")
     run = SummaryReport(
         "contraction",
@@ -476,7 +476,7 @@ def run_connectivity(
     Default T = ceil((1/2 + epsilon) n ln n); the target frequency is
     1 - 2 n^-epsilon.
     """
-    if n < 2 or trials < 1:
+    if n < 2 or _step_count(trials, "trials") < 1:
         raise ValueError("need n >= 2, trials >= 1")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("need epsilon > 0")
@@ -545,7 +545,7 @@ def run_lower_bound(n: int, trials: int, seed: int) -> SummaryReport:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if trials < 1:
+    if _step_count(trials, "trials") < 1:
         raise ValueError("need trials >= 1")
     run = SummaryReport("lowerbound", {"n": n, "trials": trials, "seed": seed}, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -683,7 +683,7 @@ def run_discrete(
     uniform-law prediction with a 10% band, and the binomial-split refinement
     ``contraction_factor(n, 1/4)`` is reported alongside.
     """
-    if n < 2 or M < n or steps < 1 or replicas < 1:
+    if n < 2 or M < n or steps < 1 or _step_count(replicas, "replicas") < 1:
         raise ValueError("need n >= 2, M >= n, steps >= 1, replicas >= 1")
     run = SummaryReport(
         "discrete",

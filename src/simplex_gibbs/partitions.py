@@ -23,10 +23,10 @@ of O(T alpha(n) + n) time and O(n) memory beyond two int lists of the
 array's columns, whatever the schedule.  The pass stops once the forest
 spans [n], so a connected schedule is read back only to the latest time s
 at which the edges of times s..T connect [n].  Its ``splits`` is a
-read-only mapping whose records are built on first access: the record of a
-marked time with part p(s) costs O(|p(s)| log |p(s)|) when it is first
-read, so a caller that needs only connectivity or the marked times pays for
-no record.
+read-only mapping whose records are built together on first access, by
+one replay of the pass's joins that costs O(n + sum of |p(s)|) over the
+marked times, so a caller that needs only connectivity or the marked
+times pays for no record.
 """
 
 from __future__ import annotations
@@ -132,10 +132,11 @@ class PartitionAnalysis:
     """Marked times and split records for one schedule.
 
     ``splits`` is a read-only mapping from each marked time, keyed and
-    iterated in ``marked`` order, to its ``SplitRecord``.  A record is built
-    on first access and cached, so a caller that reads only ``marked`` or
-    ``connected`` builds none.  ``splits.get(s)`` and ``s in splits`` answer
-    for an unmarked s without building or raising.
+    iterated in ``marked`` order, to its ``SplitRecord``.  The first record
+    read builds and caches every record, so a caller that reads only
+    ``marked`` or ``connected`` builds none.  ``len(splits)``, iteration,
+    ``splits.get(s)`` and ``s in splits`` answer for an unmarked s without
+    building or raising.
     """
 
     schedule: EdgeSchedule
@@ -148,51 +149,36 @@ class PartitionAnalysis:
 
 
 class _LazySplits(Mapping[int, SplitRecord]):
-    """The split records of one backward pass, each built on first access.
+    """The split records of one backward pass, all built on first access.
 
     ``rows`` maps each marked time, in increasing order, to
-    (i, j, root_i, size_i, root_j, size_j): the roots and sizes of the
-    endpoints' components just before the pass joined them.  ``succ`` maps
-    each coordinate to the next member of its chain (0 ends a chain); every
-    component the pass formed is the run of its size that starts at its
-    root.  ``parent`` marks the final roots, where the chains start.
+    (i, j, root_i, root_j): the roots of the endpoints' components just
+    before the pass joined them.  The first record read replays the joins in
+    pass order, holding each component as the sorted member list of its
+    root, and builds every record at once.
     """
 
-    __slots__ = ("_rows", "_parent", "_succ", "_order", "_pos", "_built")
+    __slots__ = ("_rows", "_n", "_built")
 
-    def __init__(self, rows: dict[int, tuple[int, int, int, int, int, int]],
-                 parent: list[int], succ: list[int]) -> None:
-        self._rows, self._parent, self._succ = rows, parent, succ
-        self._order: list[int] | None = None
-        self._pos: list[int] = []
-        self._built: dict[int, SplitRecord] = {}
+    def __init__(self, rows: dict[int, tuple[int, int, int, int]], n: int) -> None:
+        self._rows, self._n = rows, n
+        self._built: dict[int, SplitRecord] | None = None
 
-    def _lay_out(self) -> None:
-        """Concatenate the final chains into one order and index it."""
-        parent, succ = self._parent, self._succ
-        order, pos = [], [0] * len(succ)
-        for r in range(1, len(succ)):
-            if parent[r] != r:
-                continue
-            k = r
-            while k:
-                pos[k] = len(order)
-                order.append(k)
-                k = succ[k]
-        self._order, self._pos = order, pos
+    def _build(self) -> dict[int, SplitRecord]:
+        members = [[k] for k in range(self._n + 1)]
+        built = {}
+        for s in reversed(self._rows):
+            i, j, ri, rj = self._rows[s]
+            piece_i, piece_j = members[ri], members[rj]
+            # both lists are sorted, so the merge sort is one linear pass
+            part = members[ri] = members[rj] = sorted(piece_i + piece_j)
+            built[s] = SplitRecord(s, i, j, tuple(part), tuple(piece_i), tuple(piece_j))
+        return built
 
     def __getitem__(self, s: int) -> SplitRecord:
-        rec = self._built.get(s)
-        if rec is None:
-            i, j, ri, ni, rj, nj = self._rows[s]
-            if self._order is None:
-                self._lay_out()
-            order, pos = self._order, self._pos
-            piece_i = tuple(sorted(order[pos[ri]:pos[ri] + ni]))
-            piece_j = tuple(sorted(order[pos[rj]:pos[rj] + nj]))
-            part = tuple(sorted(piece_i + piece_j))
-            rec = self._built[s] = SplitRecord(s, i, j, part, piece_i, piece_j)
-        return rec
+        if self._built is None:
+            self._built = self._build()
+        return self._built[s]
 
     def get(self, s: int, default: SplitRecord | None = None) -> SplitRecord | None:
         return self[s] if s in self._rows else default
@@ -213,27 +199,23 @@ def analyze_schedule(schedule: EdgeSchedule) -> PartitionAnalysis:
     At time s (processed from T down to 1) the components joined so far are
     exactly the parts of P(s); edge s is marked iff its endpoints lie in
     different parts, and the part they form together is p(s) in P(s-1).
-    The components form a union-find forest (union by size, path halving).
-    A join appends the smaller component's member chain to the larger one's,
-    so a chain only grows at its end, and every component ever formed stays
-    a run of the final chains, starting at its root.  A marked time is
-    therefore noted in O(1) as its endpoints' roots and component sizes.
+    The components form a union-find forest (union by size, path halving),
+    and a marked time is noted in O(1) as its endpoints' roots; the records
+    are built from these roots only when one is first read.
 
     The pass reads the two columns of ``schedule.edges`` as int lists and
     stops at the (n - 1)-th join: the forest then spans [n], so no earlier
     time can be marked.  The edges it skips would only halve paths, which
-    moves no root, size or chain, so the records are those of the full pass.
-    A connected uniform random schedule is thus read back only about
-    (n/2) ln n edges from its end, the length at which a random graph on
-    [n] connects; the column lists still cost O(T).
+    moves no root, so the records are those of the full pass.  A connected
+    uniform random schedule is thus read back only about (n/2) ln n edges
+    from its end, the length at which a random graph on [n] connects; the
+    column lists still cost O(T).
     """
     n, edges = schedule.n, schedule.edges
     parent = list(range(n + 1))
     size = [1] * (n + 1)
-    tail = list(range(n + 1))
-    succ = [0] * (n + 1)
     times: list[int] = []
-    rows: list[tuple[int, int, int, int, int, int]] = []
+    rows: list[tuple[int, int, int, int]] = []
     ii, jj = edges[:, 0].tolist(), edges[:, 1].tolist()
     for s, i, j in zip(range(len(ii), 0, -1), reversed(ii), reversed(jj)):
         ri, rj = i, j
@@ -245,20 +227,17 @@ def analyze_schedule(schedule: EdgeSchedule) -> PartitionAnalysis:
             rj = parent[rj]
         if ri == rj:
             continue
-        si, sj = size[ri], size[rj]
         times.append(s)
-        rows.append((i, j, ri, si, rj, sj))
-        if si < sj:
+        rows.append((i, j, ri, rj))
+        if size[ri] < size[rj]:
             ri, rj = rj, ri
         parent[rj] = ri
-        size[ri] = si + sj
-        succ[tail[ri]] = rj
-        tail[ri] = tail[rj]
+        size[ri] += size[rj]
         if len(times) == n - 1:
             break
     times.reverse()
     rows.reverse()
-    splits = _LazySplits(dict(zip(times, rows)), parent, succ)
+    splits = _LazySplits(dict(zip(times, rows)), n)
     return PartitionAnalysis(schedule=schedule, marked=tuple(times), splits=splits)
 
 

@@ -340,6 +340,11 @@ COUNT_ENTRY_POINTS = {
     "driver_budget": (lambda v: run_cftp(3, 1, 0, max_doublings=v), 0),
     "cftp_samples": (lambda v: run_cftp(3, v, 0), 0),
     "couple_replicas": (lambda v: run_couple(3, 1.0, v, 0), 0),
+    "simulate_replicas": (lambda v: run_simulate(3, 5, v, 0), 0),
+    "contraction_replicas": (lambda v: run_contraction(3, v, 0), 0),
+    "discrete_replicas": (lambda v: run_discrete(3, 10, 5, v, 0), 0),
+    "connectivity_trials": (lambda v: run_connectivity(4, 1.0, v, 0), 0),
+    "lower_bound_trials": (lambda v: run_lower_bound(4, v, 0), 0),
 }
 
 

@@ -13,6 +13,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from simplex_gibbs import partitions
 from simplex_gibbs.partitions import (
     EdgeSchedule,
     PartitionAnalysis,
@@ -186,6 +187,28 @@ def test_splits_is_a_read_only_mapping_built_on_access():
         if ana.marked:
             with pytest.raises(TypeError):
                 splits[ana.marked[0]] = None
+
+
+def test_first_record_read_builds_every_record_once(monkeypatch):
+    built = []
+
+    class Counted(SplitRecord):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(partitions, "SplitRecord", Counted)
+    ana = analyze_schedule(EdgeSchedule.sample(16, 200, np.random.default_rng(16)))
+    splits = ana.splits
+    assert ana.connected and len(splits) == 15
+    assert list(splits) == list(ana.marked)
+    assert ana.marked[0] in splits and splits.get(0) is None and 0 not in splits
+    assert built == []
+    first = splits[ana.marked[7]]
+    assert sorted(built) == list(ana.marked)
+    assert [splits[s] for s in ana.marked][7] is first
+    assert splits.get(ana.marked[3]) is splits[ana.marked[3]]
+    assert len(built) == 15
 
 
 def test_analysis_memory_stays_linear_at_n4096():
